@@ -4,7 +4,7 @@
 //! store-served vs re-written shards) and the serve-layer session
 //! registry (batched ingest throughput, query latency solver-path vs
 //! memoized) on the seeded `Power` workload and writes machine-readable
-//! `BENCH_pr10.json` — the perf trajectory's record. The JSON header
+//! `BENCH_pr12.json` — the perf trajectory's record. The JSON header
 //! also carries the hardware-thread count and a snapshot of the
 //! process metrics registry (`kcenter-obs`) after the run.
 //!
@@ -12,7 +12,11 @@
 //! and the blocked `DistanceMatrix::build`) are measured **paired**:
 //! auto-dispatched SIMD versus the `set_force_scalar` escape hatch, with
 //! samples interleaved (ABBA), so the vectorization before/after comes
-//! from identical surrounding code on identical hardware. The JSON header
+//! from identical surrounding code on identical hardware. Two more GMM
+//! pairs isolate one optimization each on the same `PointRef` layout:
+//! the sqrt-free proxy (`gmm_select_proxied` vs `gmm_select_sqrt_before`)
+//! and round-1 cluster pruning (`gmm_coreset_pruned` vs
+//! `gmm_coreset_unpruned`, on Power-like 7-d and Wiki-like 50-d). The JSON header
 //! records the auto-detected ISA the "auto" rows ran on. The executor
 //! rows are paired the same way: a persistent `WorkerFleet` reused
 //! across samples versus a fresh fleet spawned per run (fleet-warmup
@@ -50,19 +54,61 @@ use kcenter_core::gmm::gmm_select;
 use kcenter_core::outliers_cluster::{outliers_cluster, PointsOracle};
 use kcenter_core::radius_search::{find_min_feasible_radius, solve_coreset_cached, SearchMode};
 use kcenter_metric::{
-    kernels, CachedOracle, DistanceMatrix, Euclidean, Metric, Point, PointRef, PointSet,
+    kernels, CachedOracle, Coordinates, DistanceMatrix, Euclidean, Metric, Point, PointRef,
+    PointSet,
 };
 
 /// `Euclidean` with the proxy hooks forced back to their defaults: every
-/// comparison pays the `sqrt`, i.e. the pre-PR code path. Benchmarked
+/// comparison pays the `sqrt`, i.e. the pre-proxy code path. Benchmarked
 /// alongside the proxied metric to record the sqrt-free before/after on
-/// identical hardware and identical surrounding code.
+/// identical hardware and identical surrounding code. It keeps GMM's
+/// pruning bound — Euclidean's own bound carried to the true-distance
+/// scale — so the pair differs in the sqrt alone.
 struct SqrtEuclidean;
 
-impl Metric<Point> for SqrtEuclidean {
+impl<P: Coordinates> Metric<P> for SqrtEuclidean {
     #[inline]
-    fn distance(&self, a: &Point, b: &Point) -> f64 {
+    fn distance(&self, a: &P, b: &P) -> f64 {
         Euclidean.distance(a, b)
+    }
+
+    #[inline]
+    fn cmp_prune_bound(&self, cmp_ac: f64) -> Option<f64> {
+        let eucl: &dyn Metric<P> = &Euclidean;
+        eucl.cmp_prune_bound(eucl.distance_to_cmp(cmp_ac))
+            .map(|bound| eucl.cmp_to_distance(bound))
+    }
+}
+
+/// A metric with GMM's pruning bound withheld: every GMM step scans all
+/// points with the block kernel, the code path before cluster pruning.
+/// Everything else forwards, so the pair isolates the pruning.
+struct Unpruned<M>(M);
+
+impl<P, M: Metric<P>> Metric<P> for Unpruned<M> {
+    #[inline]
+    fn distance(&self, a: &P, b: &P) -> f64 {
+        self.0.distance(a, b)
+    }
+
+    #[inline]
+    fn cmp_distance(&self, a: &P, b: &P) -> f64 {
+        self.0.cmp_distance(a, b)
+    }
+
+    #[inline]
+    fn cmp_to_distance(&self, cmp: f64) -> f64 {
+        self.0.cmp_to_distance(cmp)
+    }
+
+    #[inline]
+    fn distance_to_cmp(&self, d: f64) -> f64 {
+        self.0.distance_to_cmp(d)
+    }
+
+    #[inline]
+    fn cmp_distance_block(&self, query: &P, block: &[P], out: &mut [f64]) {
+        self.0.cmp_distance_block(query, block, out)
     }
 }
 
@@ -77,6 +123,30 @@ struct Record {
     ops: u64,
     threads: usize,
     m: Measurement,
+}
+
+/// Measures two arms paired (ABBA) and records both rows.
+fn record_pair<RA, RB>(
+    records: &mut Vec<Record>,
+    (warmup, samples, threads): (usize, usize, usize),
+    dataset: &'static str,
+    n: usize,
+    ops: u64,
+    (kernel_a, a): (&'static str, impl FnMut() -> RA),
+    (kernel_b, b): (&'static str, impl FnMut() -> RB),
+) {
+    let (m_a, m_b) = measure_paired(warmup, samples, a, b);
+    for (kernel, m) in [(kernel_a, m_a), (kernel_b, m_b)] {
+        eprintln!("  {kernel:<34} {:>12.2?} ±{:.2?}", m.median, m.mad);
+        records.push(Record {
+            kernel,
+            dataset,
+            n,
+            ops,
+            threads,
+            m,
+        });
+    }
 }
 
 fn json_record(r: &Record) -> String {
@@ -175,65 +245,70 @@ fn run_kernels(
     let soa = PointSet::from_points(&points);
     let point_refs: Vec<PointRef<'_>> = soa.iter().collect();
 
-    // Kernel 1: GMM farthest-first traversal, k = paper's Power k (100),
-    // with the sqrt-free proxy metric and the forced-sqrt "before" path.
+    // Kernel 1: GMM farthest-first traversal, k = paper's Power k (100).
     // The auto row uses the detected SIMD ISA for its chunked min-distance
     // block scan; the force_scalar row pins the scalar reference kernels.
-    // Both produce bit-identical centers — only the clock differs.
+    // The proxied row is the auto row again, paired with the forced-sqrt
+    // "before" metric. All produce bit-identical centers — only the clock
+    // differs.
     let gmm_k = Dataset::Power.paper_k();
-    let (m, m_scalar) = measure_paired(
-        warmup,
-        samples,
-        || {
+    let run = (warmup, samples, threads);
+    let gmm_ops = (n * gmm_k) as u64;
+    record_pair(
+        records,
+        run,
+        "Power",
+        n,
+        gmm_ops,
+        ("gmm_select", || {
             kernels::set_force_scalar(false);
             gmm_select(&point_refs, &Euclidean, gmm_k, 0)
-        },
-        || {
+        }),
+        ("gmm_select_force_scalar", || {
             kernels::set_force_scalar(true);
             gmm_select(&point_refs, &Euclidean, gmm_k, 0)
-        },
+        }),
     );
     kernels::set_force_scalar(false);
-    records.push(Record {
-        kernel: "gmm_select",
-        dataset: "Power",
+    record_pair(
+        records,
+        run,
+        "Power",
         n,
-        ops: (n * gmm_k) as u64,
-        threads,
-        m,
-    });
-    eprintln!(
-        "  gmm_select/k={gmm_k}            {:>12.2?} ±{:.2?}",
-        m.median, m.mad
-    );
-    records.push(Record {
-        kernel: "gmm_select_force_scalar",
-        dataset: "Power",
-        n,
-        ops: (n * gmm_k) as u64,
-        threads,
-        m: m_scalar,
-    });
-    eprintln!(
-        "  gmm_select (force scalar)   {:>12.2?} ±{:.2?}",
-        m_scalar.median, m_scalar.mad
+        gmm_ops,
+        ("gmm_select_proxied", || {
+            gmm_select(&point_refs, &Euclidean, gmm_k, 0)
+        }),
+        ("gmm_select_sqrt_before", || {
+            gmm_select(&point_refs, &SqrtEuclidean, gmm_k, 0)
+        }),
     );
 
-    let m = measure(warmup, samples, || {
-        gmm_select(&points, &SqrtEuclidean, gmm_k, 0)
-    });
-    records.push(Record {
-        kernel: "gmm_select_sqrt_before",
-        dataset: "Power",
-        n,
-        ops: (n * gmm_k) as u64,
-        threads,
-        m,
-    });
-    eprintln!(
-        "  gmm_select (sqrt before)    {:>12.2?} ±{:.2?}",
-        m.median, m.mad
-    );
+    // Kernel 1b: round-1 coreset construction with and without cluster
+    // pruning — clustered 7-d, where cluster steps dominate, and 50-d,
+    // where nothing prunes and every step falls back to the full scan.
+    let wiki = PointSet::from_points(&Dataset::Wiki.generate(n, FIXTURE_DATASET_SEED));
+    let wiki_refs: Vec<PointRef<'_>> = wiki.iter().collect();
+    let wiki_base = Dataset::Wiki.paper_k();
+    for (dataset, refs, base, mu) in [
+        ("Power", &point_refs, k + z, mu),
+        ("Wiki", &wiki_refs, wiki_base, 4),
+    ] {
+        let spec = CoresetSpec::Multiplier { mu };
+        record_pair(
+            records,
+            run,
+            dataset,
+            n,
+            (n * base * mu) as u64,
+            ("gmm_coreset_pruned", || {
+                build_weighted_coreset(refs, &Euclidean, base, &spec, 0)
+            }),
+            ("gmm_coreset_unpruned", || {
+                build_weighted_coreset(refs, &Unpruned(Euclidean), base, &spec, 0)
+            }),
+        );
+    }
 
     // Shared coreset fixture for the outlier kernels: τ = µ(k+z) = 560,
     // loaded from the persistent store when a previous run built it.
@@ -668,7 +743,7 @@ fn main() {
         if smoke {
             "BENCH_smoke.json"
         } else {
-            "BENCH_pr10.json"
+            "BENCH_pr12.json"
         }
         .to_string()
     });
@@ -742,7 +817,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"note\": \"median over {samples} samples after {warmup} warmup runs, MAD outlier rejection; threads=1 is the sequential reference (inline execution, no pool overhead); *_force_scalar rows pin the scalar kernels via set_force_scalar, paired ABBA against the auto rows; a multi-thread scaling row appears only when the machine has >1 hardware thread; exec_* rows are paired ABBA too — warm_fleet reuses one persistent WorkerFleet across samples vs a fresh fleet per run, shards_reused serves content-addressed store shards (exec_warm_shard_writes pins 0 writes per warm sample) vs work-dir re-sharding\","
+        "  \"note\": \"median over {samples} samples after {warmup} warmup runs, MAD outlier rejection; threads=1 is the sequential reference (inline execution, no pool overhead); *_force_scalar rows pin the scalar kernels via set_force_scalar, paired ABBA against the auto rows; gmm_select_proxied/gmm_select_sqrt_before and gmm_coreset_pruned/gmm_coreset_unpruned are ABBA pairs over the same PointRef layout, isolating the sqrt-free proxy and round-1 cluster pruning; a multi-thread scaling row appears only when the machine has >1 hardware thread; exec_* rows are paired ABBA too — warm_fleet reuses one persistent WorkerFleet across samples vs a fresh fleet per run, shards_reused serves content-addressed store shards (exec_warm_shard_writes pins 0 writes per warm sample) vs work-dir re-sharding\","
     );
     json.push_str("  \"records\": [\n");
     let lines: Vec<String> = records.iter().map(json_record).collect();

@@ -369,6 +369,9 @@ fn parse_cluster<'a, I: Iterator<Item = &'a str>>(mut iter: I) -> Result<Command
     }
     let input = input.ok_or_else(|| ArgError::new("cluster requires --input"))?;
     let k = k.ok_or_else(|| ArgError::new("cluster requires --k"))?;
+    if k == 0 {
+        return Err(ArgError::new("--k must be at least 1"));
+    }
     if mu == 0 {
         return Err(ArgError::new("--mu must be at least 1"));
     }
@@ -879,6 +882,8 @@ mod tests {
         assert!(parse(["cluster", "--input", "a.csv", "--k", "x"]).is_err());
         assert!(parse(["cluster", "--input", "a.csv", "--k", "3", "--algo", "magic"]).is_err());
         assert!(parse(["cluster", "--input", "a.csv", "--k", "3", "--mu", "0"]).is_err());
+        let err = parse(["cluster", "--input", "a.csv", "--k", "0"]).unwrap_err();
+        assert!(err.to_string().contains("--k must be at least 1"), "{err}");
         assert!(parse([
             "generate",
             "--dataset",

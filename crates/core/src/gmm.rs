@@ -10,8 +10,48 @@
 //! The incremental state is exposed ([`Gmm::step`]) because the paper's
 //! coreset constructions keep running GMM *past* `k` iterations until a
 //! radius-based stopping condition fires, and its experiments grow coresets
-//! to a fixed size `τ = µ·k`. Each step costs one parallel `O(n)` distance
-//! scan; `τ` steps cost `O(n·τ)` total.
+//! to a fixed size `τ = µ·k`.
+//!
+//! # Pruned steps
+//!
+//! A step relaxes every point against the new center `c` and then picks
+//! the next farthest point. Scanning all `n` points per step costs `n·τ`
+//! distance evaluations for `τ` steps, yet in low doubling dimension most
+//! of that scan is provably useless: by the triangle inequality, a point of
+//! center `a`'s cluster can only move to `c` if it lies farther than
+//! `d(a, c) / 2` from `a`. So GMM keeps each cluster's member list and its
+//! farthest member, and a step
+//!
+//! 1. evaluates `c` against every earlier center (`O(τ)`) and asks the
+//!    metric for the rounding-safe bound [`Metric::cmp_prune_bound`];
+//! 2. skips every cluster whose farthest member is within that bound and,
+//!    in the others, every member within it, and relaxes the rest — a
+//!    *cluster step*, one scalar [`Metric::cmp_distance`] per evaluated
+//!    point, run sequentially (as pool jobs the touched clusters measured
+//!    slower end to end);
+//! 3. instead scans all `n` points in parallel with the block kernel — a
+//!    *full scan* — when the clusters it cannot skip hold more than half
+//!    the points. That is the regime of high intrinsic dimension and of
+//!    metrics without a bound, where pruning saves little and per-point
+//!    scalar evaluation would lose the SIMD kernel.
+//!
+//! A full scan does not maintain the member lists. The next step first
+//! takes an `O(τ)` test against the global radius, which bounds every
+//! cluster's farthest member: if more than half the clusters may still be
+//! reachable it scans again; otherwise it rebuilds the lists in one `O(n)`
+//! pass and takes the exact test above.
+//!
+//! Both kinds of step make the relax decisions the textbook full scan
+//! makes (the bound guarantees a skipped point would not have moved), and
+//! both pick the smallest index among the farthest points, so centers,
+//! proxy assignments and radii are bit-identical to an unpruned run.
+//! `crates/core/tests/gmm_pruning.rs` pins this against a textbook
+//! reference. The `core.gmm.steps`, `core.gmm.full_scans` and
+//! `core.gmm.point_evals` counters of `kcenter-obs` record how much of the
+//! `n·τ` scan a run actually evaluated, and `bench_runner`'s paired
+//! `gmm_coreset_pruned` / `gmm_coreset_unpruned` rows what it saves.
+
+use std::sync::OnceLock;
 
 use rayon::prelude::*;
 
@@ -34,6 +74,49 @@ pub struct Gmm<'a, P, M> {
     radii: Vec<f64>,
     /// Index of the current farthest point (the next center candidate).
     farthest: usize,
+    /// Per center position, the indices of the points it is nearest to.
+    /// Valid only while `lists_fresh`.
+    members: Vec<Vec<u32>>,
+    /// Per center position, its cluster's farthest member as
+    /// `(proxy, index)`. Valid only while `lists_fresh`.
+    far: Vec<(f64, u32)>,
+    /// Whether `members` and `far` describe the current assignment; a full
+    /// scan moves points without updating them.
+    lists_fresh: bool,
+    /// Scratch for the step in progress: per earlier center, the proxy
+    /// bound under which its cluster cannot lose a point to the new center
+    /// (`-∞` when the metric gives none).
+    bounds: Vec<f64>,
+}
+
+/// The round-1 counters, each bumped once per step.
+struct StepCounters {
+    steps: kcenter_obs::Counter,
+    full_scans: kcenter_obs::Counter,
+    /// Point-to-center relax evaluations: `n` per full scan, the members
+    /// beyond the bound per cluster step (the `O(τ)` center-to-center
+    /// evaluations of the bound test are not counted).
+    point_evals: kcenter_obs::Counter,
+}
+
+fn step_counters() -> &'static StepCounters {
+    static COUNTERS: OnceLock<StepCounters> = OnceLock::new();
+    COUNTERS.get_or_init(|| StepCounters {
+        steps: kcenter_obs::counter("core.gmm.steps"),
+        full_scans: kcenter_obs::counter("core.gmm.full_scans"),
+        point_evals: kcenter_obs::counter("core.gmm.point_evals"),
+    })
+}
+
+/// The farther of two `(proxy, index)` candidates, the smaller index on
+/// ties — the order a left-to-right scan with a strict `>` produces.
+#[inline]
+fn farther(a: (f64, u32), b: (f64, u32)) -> (f64, u32) {
+    if b.0 > a.0 || (b.0 == a.0 && b.1 < a.1) {
+        b
+    } else {
+        a
+    }
 }
 
 impl<'a, P: Sync, M: Metric<P>> Gmm<'a, P, M> {
@@ -53,14 +136,149 @@ impl<'a, P: Sync, M: Metric<P>> Gmm<'a, P, M> {
             centers: Vec::new(),
             radii: Vec::new(),
             farthest: 0,
+            members: Vec::new(),
+            far: Vec::new(),
+            lists_fresh: false,
+            bounds: Vec::new(),
         };
         gmm.add_center(first);
         gmm
     }
 
     fn add_center(&mut self, idx: usize) {
-        let center_pos = self.centers.len() as u32;
         self.centers.push(idx);
+        let counters = step_counters();
+        let evals = match self.cluster_step(idx) {
+            Some(visited) => visited,
+            None => {
+                self.full_scan(idx);
+                counters.full_scans.inc();
+                self.points.len()
+            }
+        };
+        counters.steps.inc();
+        counters.point_evals.add(evals as u64);
+        // The single sqrt of the whole step: proxy → reported radius.
+        let far_cmp = self.dist[self.farthest];
+        self.radii.push(self.metric.cmp_to_distance(far_cmp));
+    }
+
+    /// Relaxes the points against the new center `points[idx]` by
+    /// visiting only the clusters it can reach, and returns how many
+    /// points it evaluated — or returns `None`, changing no assignment,
+    /// when those clusters hold more than half the points and the caller
+    /// should scan them all.
+    fn cluster_step(&mut self, idx: usize) -> Option<usize> {
+        let pos = self.centers.len() - 1;
+        if pos == 0 || self.points.len() > u32::MAX as usize {
+            return None;
+        }
+        let (points, metric) = (self.points, self.metric);
+        let c = &points[idx];
+        // With stale lists, the new center's own proxy — the radius —
+        // bounds every cluster's farthest member: a cheap estimate of the
+        // reachable clusters, taken before paying for the rebuild and
+        // abandoned as soon as more than half of them may be reachable.
+        let radius = self.dist[idx];
+        let mut maybe_reachable = 0;
+        self.bounds.clear();
+        for &a in &self.centers[..pos] {
+            let bound = metric.cmp_prune_bound(metric.cmp_distance(&points[a], c));
+            let bound = bound.unwrap_or(f64::NEG_INFINITY);
+            self.bounds.push(bound);
+            if !self.lists_fresh && bound < radius {
+                maybe_reachable += 1;
+                if 2 * maybe_reachable > pos {
+                    return None;
+                }
+            }
+        }
+        if !self.lists_fresh {
+            self.rebuild_lists(pos);
+        }
+        let reachable: usize = self
+            .bounds
+            .iter()
+            .zip(&self.far)
+            .zip(&self.members)
+            .filter(|((&bound, &(far, _)), _)| far > bound)
+            .map(|(_, members)| members.len())
+            .sum();
+        if 2 * reachable > self.points.len() {
+            return None;
+        }
+
+        let Gmm {
+            dist,
+            nearest,
+            members,
+            far,
+            bounds,
+            ..
+        } = self;
+        let mut taken = Vec::new();
+        let mut taken_far = (f64::NEG_INFINITY, u32::MAX);
+        let mut evals = 0;
+        for ((list, cluster_far), &bound) in members.iter_mut().zip(far.iter_mut()).zip(&*bounds) {
+            if cluster_far.0 <= bound {
+                continue;
+            }
+            let mut kept_far = (f64::NEG_INFINITY, u32::MAX);
+            list.retain(|&p| {
+                let d = &mut dist[p as usize];
+                // The cluster's bound holds member by member, too: one
+                // proxy read spares the evaluation.
+                if *d <= bound {
+                    kept_far = farther(kept_far, (*d, p));
+                    return true;
+                }
+                evals += 1;
+                let nd = metric.cmp_distance(c, &points[p as usize]);
+                if nd < *d {
+                    *d = nd;
+                    nearest[p as usize] = pos as u32;
+                    taken.push(p);
+                    taken_far = farther(taken_far, (nd, p));
+                    false
+                } else {
+                    kept_far = farther(kept_far, (*d, p));
+                    true
+                }
+            });
+            *cluster_far = kept_far;
+        }
+        members.push(taken);
+        far.push(taken_far);
+        let (_, farthest) = far
+            .iter()
+            .fold((f64::NEG_INFINITY, u32::MAX), |best, &f| farther(best, f));
+        self.farthest = farthest as usize;
+        Some(evals)
+    }
+
+    /// Rebuilds the member lists and farthest members of the first `pos`
+    /// clusters from the current assignment, in one pass over the points.
+    fn rebuild_lists(&mut self, pos: usize) {
+        let mut sizes = vec![0usize; pos];
+        for &a in &self.nearest {
+            sizes[a as usize] += 1;
+        }
+        self.members = sizes.into_iter().map(Vec::with_capacity).collect();
+        self.far = vec![(f64::NEG_INFINITY, u32::MAX); pos];
+        for (p, (&a, &d)) in self.nearest.iter().zip(&self.dist).enumerate() {
+            let a = a as usize;
+            self.members[a].push(p as u32);
+            // Ascending `p`: a strict `>` keeps the smallest index on ties.
+            if d > self.far[a].0 {
+                self.far[a] = (d, p as u32);
+            }
+        }
+        self.lists_fresh = true;
+    }
+
+    /// Relaxes every point against the new center `points[idx]`.
+    fn full_scan(&mut self, idx: usize) {
+        let center_pos = (self.centers.len() - 1) as u32;
         let c = &self.points[idx];
         let metric = self.metric;
         let points = self.points;
@@ -77,7 +295,7 @@ impl<'a, P: Sync, M: Metric<P>> Gmm<'a, P, M> {
         // visits them in the same order the scalar scan did.
         const SUB: usize = 128;
         let scan_chunk = rayon::adaptive_chunk_len(self.dist.len());
-        let (far_idx, far_cmp) = self
+        let (far_idx, _) = self
             .dist
             .par_chunks_mut(scan_chunk)
             .zip(self.nearest.par_chunks_mut(scan_chunk))
@@ -111,8 +329,7 @@ impl<'a, P: Sync, M: Metric<P>> Gmm<'a, P, M> {
                 |a, b| if a.1 >= b.1 { a } else { b },
             );
         self.farthest = far_idx;
-        // The single sqrt of the whole step: proxy → reported radius.
-        self.radii.push(metric.cmp_to_distance(far_cmp));
+        self.lists_fresh = false;
     }
 
     /// Adds the next farthest point as a center. Returns `false` (and leaves

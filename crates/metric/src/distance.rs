@@ -126,6 +126,46 @@ pub trait Metric<P: ?Sized>: Sync + Send {
         }
     }
 
+    /// Triangle-inequality pruning bound on the proxy scale: given
+    /// `cmp_ac = cmp_distance(a, c)` for two centers `a` and `c`, a
+    /// threshold `b` such that every point `p` with
+    /// `cmp_distance(a, p) <= b` is provably **no closer** to `c` than to
+    /// `a` — as computed, not just in exact arithmetic:
+    /// `cmp_distance(c, p) >= cmp_distance(a, p)`. `None` means no such
+    /// bound is available, and callers must evaluate every point.
+    ///
+    /// GMM uses it to skip whole clusters when it adds a center: if a
+    /// cluster's farthest member is within `b` of its center `a`, the
+    /// relax test `cmp(c, p) < cmp(a, p)` is false for every member.
+    ///
+    /// In exact arithmetic `d(a, p) <= d(a, c) / 2` gives
+    /// `d(c, p) >= d(a, c) - d(a, p) >= d(a, p)`, so the bound is half
+    /// the distance: `cmp_ac / 2` for an identity proxy, `cmp_ac / 4` on
+    /// [`Euclidean`]'s squared proxy. The implementations shrink it by a
+    /// relative slack `η = 1e-6` to cover rounding. Each of the three
+    /// coordinate proxies sums (or maximizes) non-negative terms, each
+    /// the rounded square or absolute value of a rounded difference, so a
+    /// computed proxy is within a relative `(dim + 2)·2⁻⁵³` of the exact
+    /// one — far below `η` for any real dimension. Shrinking the bound by
+    /// `η` then keeps `cmp(c, p) >= cmp(a, p)` for the rounded values
+    /// too, so skipping a point never changes a relax decision, and
+    /// pruned and unpruned runs stay bit-identical. The bound is returned
+    /// only for a finite `cmp_ac >= 1e-280`: below that floor squared
+    /// terms may underflow into subnormals, whose error is absolute, not
+    /// relative, and an infinite proxy carries no margin at all.
+    ///
+    /// The default is `None`, which is what these metrics keep:
+    /// [`CosineAngular`], because `acos` has an absolute error near 0
+    /// (about `1.5e-8`) rather than a relative one; [`Precomputed`],
+    /// because user matrices are only approximately metric; and any
+    /// wrapper that does not forward the method. Wrappers that forward
+    /// [`Metric::cmp_distance`] unchanged may forward this too.
+    #[inline]
+    fn cmp_prune_bound(&self, cmp_ac: f64) -> Option<f64> {
+        let _ = cmp_ac;
+        None
+    }
+
     /// A deterministic content fingerprint of `points` *under this metric*,
     /// or `None` when the metric cannot (or should not) key a persistent
     /// cache entry.
@@ -194,12 +234,31 @@ impl<P: ?Sized, M: Metric<P> + ?Sized> Metric<P> for &M {
         (**self).within_block(query, block, cmp_threshold, out)
     }
 
+    #[inline]
+    fn cmp_prune_bound(&self, cmp_ac: f64) -> Option<f64> {
+        (**self).cmp_prune_bound(cmp_ac)
+    }
+
     fn cache_fingerprint(&self, points: &[P]) -> Option<u128>
     where
         P: Sized,
     {
         (**self).cache_fingerprint(points)
     }
+}
+
+/// The `η` of [`Metric::cmp_prune_bound`]: relative slack covering the
+/// rounding of a coordinate proxy.
+const PRUNE_SLACK: f64 = 1e-6;
+
+/// Smallest proxy [`Metric::cmp_prune_bound`] bounds; below it squared
+/// terms may be subnormal.
+const PRUNE_FLOOR: f64 = 1e-280;
+
+/// `cmp_ac · factor · (1 − η)` for a finite proxy at or above the floor.
+#[inline]
+fn prune_bound(cmp_ac: f64, factor: f64) -> Option<f64> {
+    (cmp_ac.is_finite() && cmp_ac >= PRUNE_FLOOR).then_some(cmp_ac * (factor * (1.0 - PRUNE_SLACK)))
 }
 
 /// The Euclidean (L2) metric — the distance used by all of the paper's
@@ -247,6 +306,12 @@ impl<P: Coordinates> Metric<P> for Euclidean {
     #[inline]
     fn distance_to_cmp(&self, d: f64) -> f64 {
         d * d
+    }
+
+    // Half the distance is a quarter of the squared proxy.
+    #[inline]
+    fn cmp_prune_bound(&self, cmp_ac: f64) -> Option<f64> {
+        prune_bound(cmp_ac, 0.25)
     }
 
     #[inline]
@@ -318,6 +383,11 @@ impl<P: Coordinates> Metric<P> for Manhattan {
         );
     }
 
+    #[inline]
+    fn cmp_prune_bound(&self, cmp_ac: f64) -> Option<f64> {
+        prune_bound(cmp_ac, 0.5)
+    }
+
     fn cache_fingerprint(&self, points: &[P]) -> Option<u128> {
         Some(fingerprint_points("manhattan", points))
     }
@@ -357,6 +427,11 @@ impl<P: Coordinates> Metric<P> for Chebyshev {
             cmp_threshold,
             out,
         );
+    }
+
+    #[inline]
+    fn cmp_prune_bound(&self, cmp_ac: f64) -> Option<f64> {
+        prune_bound(cmp_ac, 0.5)
     }
 
     fn cache_fingerprint(&self, points: &[P]) -> Option<u128> {

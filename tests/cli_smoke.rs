@@ -7,12 +7,24 @@
 //! updated deliberately).
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output};
 
 fn run_kcenter(args: &[&str]) -> String {
+    let output = kcenter_output(args);
+    assert!(
+        output.status.success(),
+        "kcenter {args:?} exited with {}\n--- stdout ---\n{}\n--- stderr ---\n{}",
+        output.status,
+        String::from_utf8_lossy(&output.stdout),
+        String::from_utf8_lossy(&output.stderr),
+    );
+    String::from_utf8_lossy(&output.stdout).into_owned()
+}
+
+fn kcenter_output(args: &[&str]) -> Output {
     let manifest_dir = env!("CARGO_MANIFEST_DIR");
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-    let output = Command::new(&cargo)
+    Command::new(&cargo)
         .args([
             "run",
             "--release",
@@ -28,15 +40,7 @@ fn run_kcenter(args: &[&str]) -> String {
         .env_remove("KCENTER_CACHE_DIR")
         .current_dir(manifest_dir)
         .output()
-        .unwrap_or_else(|e| panic!("failed to spawn kcenter {args:?}: {e}"));
-    assert!(
-        output.status.success(),
-        "kcenter {args:?} exited with {}\n--- stdout ---\n{}\n--- stderr ---\n{}",
-        output.status,
-        String::from_utf8_lossy(&output.stdout),
-        String::from_utf8_lossy(&output.stderr),
-    );
-    String::from_utf8_lossy(&output.stdout).into_owned()
+        .unwrap_or_else(|e| panic!("failed to spawn kcenter {args:?}: {e}"))
 }
 
 fn temp_csv(name: &str) -> PathBuf {
@@ -127,4 +131,53 @@ fn generate_cluster_and_outliers_golden_output() {
         radius_line.starts_with("radius = 0.265906"),
         "Charikar radius drifted: {radius_line}"
     );
+}
+
+/// `--k 0` is a usage error (exit 2) for every algorithm, with or without
+/// outliers — never a panic inside the algorithm.
+#[test]
+fn k_zero_is_a_usage_error_for_every_algorithm() {
+    let data = temp_csv("k_zero_points.csv");
+    let data_str = data.to_string_lossy().into_owned();
+    run_kcenter(&[
+        "generate",
+        "--dataset",
+        "higgs",
+        "--n",
+        "50",
+        "--seed",
+        "2",
+        "--output",
+        &data_str,
+    ]);
+    for algo in [
+        "gmm",
+        "mr",
+        "mr-outliers",
+        "mr-randomized",
+        "seq",
+        "stream",
+        "charikar",
+    ] {
+        for extra in [&[][..], &["--z", "10"][..]] {
+            let mut args = vec!["cluster", "--input", &data_str, "--k", "0", "--algo", algo];
+            args.extend_from_slice(extra);
+            let output = kcenter_output(&args);
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(
+                output.status.code(),
+                Some(2),
+                "kcenter {args:?} exited with {}\n{stderr}",
+                output.status
+            );
+            assert!(
+                !stderr.contains("panicked"),
+                "kcenter {args:?} panicked:\n{stderr}"
+            );
+            assert!(
+                stderr.contains("--k must be at least 1"),
+                "kcenter {args:?} gave no reason:\n{stderr}"
+            );
+        }
+    }
 }

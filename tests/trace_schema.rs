@@ -242,17 +242,21 @@ fn procs4_trace_is_schema_valid_and_result_invariant() {
 
 /// `--report json` renders the run report plus the metrics-registry
 /// snapshot as one parsable JSON object, with the round histograms the
-/// spans fed visibly nonzero.
+/// spans fed visibly nonzero and the workers' round-1 GMM counters
+/// forwarded.
 #[test]
 fn report_json_carries_the_metrics_snapshot() {
     let data = temp_path("dataset-report.csv");
     let data_str = data.to_string_lossy().into_owned();
+    // Clustered 7-d input large enough for GMM to prune: 1,000 points and
+    // τ = µ·k = 80 centers per partition.
+    let (n, k, mu) = (2000u64, 20u64, 4u64);
     run_kcenter(&[
         "generate",
         "--dataset",
         "power",
         "--n",
-        "200",
+        &n.to_string(),
         "--seed",
         "5",
         "--output",
@@ -263,7 +267,9 @@ fn report_json_carries_the_metrics_snapshot() {
         "--input",
         &data_str,
         "--k",
-        "3",
+        &k.to_string(),
+        "--mu",
+        &mu.to_string(),
         "--algo",
         "mr",
         "--procs",
@@ -313,4 +319,22 @@ fn report_json_carries_the_metrics_snapshot() {
         .and_then(Json::as_u64)
         .expect("counter value");
     assert_eq!(jobs, 2, "one coreset job per partition at --procs 2");
+    // Round-1 GMM telemetry crosses the process boundary: one step per
+    // coreset point, and pruning evaluates fewer than the n·τ point
+    // distances a full scan per step would.
+    let worker_counter = |name: &str| -> u64 {
+        find(&format!("exec.worker.core.gmm.{name}"))
+            .get("value")
+            .and_then(Json::as_u64)
+            .expect("counter value")
+    };
+    let tau = mu * k;
+    assert_eq!(worker_counter("steps"), 2 * tau);
+    let point_evals = worker_counter("point_evals");
+    assert!(
+        point_evals > 0 && point_evals < n * tau,
+        "point_evals = {point_evals}, n·τ = {}",
+        n * tau
+    );
+    assert!(worker_counter("full_scans") < 2 * tau);
 }
