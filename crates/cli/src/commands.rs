@@ -208,6 +208,30 @@ pub fn run_cluster(args: &ClusterArgs) -> Result<(), Box<dyn Error>> {
     report_cluster(args, ell, objective, elapsed, &norm, &centers)
 }
 
+/// The `mr` configuration of a `cluster` invocation at parallelism `ell`,
+/// in process and on the executor alike.
+fn mr_kcenter_config(args: &ClusterArgs, ell: usize) -> MrKCenterConfig {
+    MrKCenterConfig {
+        k: args.k,
+        ell,
+        coreset: CoresetSpec::Multiplier { mu: args.mu },
+        seed: args.seed,
+    }
+}
+
+/// The `mr-outliers` / `mr-randomized` configuration of a `cluster`
+/// invocation at parallelism `ell`, in process and on the executor alike.
+fn mr_outliers_config(args: &ClusterArgs, ell: usize) -> MrOutliersConfig {
+    let coreset = CoresetSpec::Multiplier { mu: args.mu };
+    let mut config = if args.algo == Algo::MrOutliers {
+        MrOutliersConfig::deterministic(args.k, args.z, ell, coreset)
+    } else {
+        MrOutliersConfig::randomized(args.k, args.z, ell, coreset)
+    };
+    config.seed = args.seed;
+    config
+}
+
 /// Runs one `cluster` invocation on the multi-process executor: round 1
 /// on `--procs` real worker OS processes (this binary re-invoked in its
 /// hidden `worker` mode) over sharded on-disk inputs, round 2 in this
@@ -252,36 +276,19 @@ fn run_cluster_multiprocess(
             let result = kcenter_exec::exec_mr_kcenter(
                 points,
                 MetricKind::Euclidean,
-                &MrKCenterConfig {
-                    k: args.k,
-                    ell,
-                    coreset: CoresetSpec::Multiplier { mu: args.mu },
-                    seed: args.seed,
-                },
+                &mr_kcenter_config(args, ell),
                 &exec,
             )?;
             let objective = (args.z == 0).then_some(result.clustering.radius);
             (result.clustering.centers, objective, result.report)
         }
         Algo::MrOutliers | Algo::MrRandomized => {
-            let mut config = if args.algo == Algo::MrOutliers {
-                MrOutliersConfig::deterministic(
-                    args.k,
-                    args.z,
-                    ell,
-                    CoresetSpec::Multiplier { mu: args.mu },
-                )
-            } else {
-                MrOutliersConfig::randomized(
-                    args.k,
-                    args.z,
-                    ell,
-                    CoresetSpec::Multiplier { mu: args.mu },
-                )
-            };
-            config.seed = args.seed;
-            let result =
-                kcenter_exec::exec_mr_outliers(points, MetricKind::Euclidean, &config, &exec)?;
+            let result = kcenter_exec::exec_mr_outliers(
+                points,
+                MetricKind::Euclidean,
+                &mr_outliers_config(args, ell),
+                &exec,
+            )?;
             let objective = (args.z > 0).then_some(result.clustering.radius);
             (result.clustering.centers, objective, result.report)
         }
@@ -334,36 +341,12 @@ fn run_cluster_algorithm(
                 .collect()
         }
         Algo::Mr => {
-            let result = mr_kcenter(
-                points,
-                &Euclidean,
-                &MrKCenterConfig {
-                    k: args.k,
-                    ell,
-                    coreset: CoresetSpec::Multiplier { mu: args.mu },
-                    seed: args.seed,
-                },
-            )?;
-            result.clustering.centers
+            mr_kcenter(points, &Euclidean, &mr_kcenter_config(args, ell))?
+                .clustering
+                .centers
         }
         Algo::MrOutliers | Algo::MrRandomized => {
-            let mut config = if args.algo == Algo::MrOutliers {
-                MrOutliersConfig::deterministic(
-                    args.k,
-                    args.z,
-                    ell,
-                    CoresetSpec::Multiplier { mu: args.mu },
-                )
-            } else {
-                MrOutliersConfig::randomized(
-                    args.k,
-                    args.z,
-                    ell,
-                    CoresetSpec::Multiplier { mu: args.mu },
-                )
-            };
-            config.seed = args.seed;
-            mr_kcenter_outliers(points, &Euclidean, &config)?
+            mr_kcenter_outliers(points, &Euclidean, &mr_outliers_config(args, ell))?
                 .clustering
                 .centers
         }

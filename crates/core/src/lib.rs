@@ -49,6 +49,7 @@ pub mod error;
 pub mod gmm;
 pub mod mapreduce_kcenter;
 pub mod mapreduce_outliers;
+pub mod mr_backend;
 pub mod outliers_cluster;
 pub mod radius_search;
 pub mod sequential;

@@ -10,14 +10,15 @@
 //! With [`CoresetSpec::Multiplier`]` { mu: 1 }` this is exactly the
 //! algorithm of Malkomes et al. (2015), the paper's baseline in Fig. 2.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use kcenter_mapreduce::{Chunked, MapReduceEngine, MemoryReport, Partitioner};
+use kcenter_mapreduce::{Chunked, MemoryReport};
 use kcenter_metric::Metric;
 
-use crate::coreset::{build_weighted_coreset, CoresetSpec};
+use crate::coreset::CoresetSpec;
 use crate::error::{check_eps, check_k, InputError};
 use crate::gmm::gmm_select;
+use crate::mr_backend::{mix, CoresetJob, InProcess, MrBackend, Round1Plan};
 use crate::solution::{radius, Clustering};
 
 /// Configuration of the MapReduce k-center algorithm.
@@ -50,24 +51,14 @@ pub struct MrKCenterResult<P> {
     pub round2_time: Duration,
 }
 
-#[inline]
-fn mix(seed: u64, salt: u64) -> u64 {
-    let mut x = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^ (x >> 31)
-}
-
 impl MrKCenterConfig {
-    /// Validates this configuration against a dataset of `n` points —
-    /// exactly the checks [`mr_kcenter`] performs before running. Public
-    /// so out-of-process executors (`kcenter-exec`) reject the same inputs
-    /// the in-process engine would.
+    /// Validates this configuration against a dataset of `n` points.
     ///
     /// # Errors
     ///
     /// Returns [`InputError`] for empty input, `k` out of range, `ℓ = 0`,
     /// or an invalid coreset spec.
-    pub fn validate(&self, n: usize) -> Result<(), InputError> {
+    pub(crate) fn validate(&self, n: usize) -> Result<(), InputError> {
         check_k(n, self.k)?;
         if self.ell == 0 {
             return Err(InputError::InvalidParallelism);
@@ -86,9 +77,8 @@ impl MrKCenterConfig {
         Ok(())
     }
 
-    /// The GMM start index round 1 uses for partition `part` holding
-    /// `members` points — the seeded rule the in-process engine and the
-    /// multi-process executor must share for bit-identical coresets.
+    /// The seeded GMM start index round 1 uses for partition `part`
+    /// holding `members` points.
     ///
     /// # Panics
     ///
@@ -99,7 +89,8 @@ impl MrKCenterConfig {
     }
 }
 
-/// Runs the 2-round MapReduce k-center algorithm.
+/// Runs the 2-round MapReduce k-center algorithm on the in-process
+/// engine.
 ///
 /// # Errors
 ///
@@ -114,71 +105,82 @@ where
     P: Clone + Send + Sync,
     M: Metric<P>,
 {
+    // Validate before the engine exists: it panics on `ℓ = 0`.
     config.validate(points.len())?;
+    let mut backend = InProcess::new(config.ell, metric);
+    let result = mr_kcenter_on(points, metric, config, &mut backend)?;
+    let (memory, round1_time, round2_time) = backend.accounting();
+    Ok(MrKCenterResult {
+        memory,
+        round1_time,
+        round2_time,
+        ..result
+    })
+}
 
-    let engine = MapReduceEngine::new(config.ell);
-    let n = points.len();
-    let ell = config.ell;
+/// The 2-round MapReduce k-center algorithm with its rounds run by
+/// `backend` — the one implementation behind [`mr_kcenter`] and the
+/// multi-process executor.
+///
+/// Round 1 builds a GMM coreset of base `k` from each `Chunked`
+/// partition; round 2 runs GMM for `k` centers on their union; the
+/// objective is the radius on all of `points`. The result's `memory`
+/// and round times are the backend's accounting and stay empty here.
+///
+/// # Errors
+///
+/// An invalid configuration (as [`mr_kcenter`]) fails before round 1;
+/// otherwise whatever the backend's round 1 reports.
+pub fn mr_kcenter_on<P, M, B>(
+    points: &[P],
+    metric: &M,
+    config: &MrKCenterConfig,
+    backend: &mut B,
+) -> Result<MrKCenterResult<P>, B::Error>
+where
+    P: Clone + Send + Sync,
+    M: Metric<P>,
+    B: MrBackend<P>,
+{
+    config.validate(points.len())?;
     let k = config.k;
-    let spec = config.coreset;
-
-    // Round 1: partition S, build one coreset per partition.
-    // Mapper: tag each point with its partition. Reducer: GMM coreset.
-    let round1_start = Instant::now();
-    let inputs: Vec<(usize, P)> = points.iter().cloned().enumerate().collect();
-    let coreset_points: Vec<(usize, P)> = engine.round(
-        inputs,
-        |(i, p)| (Chunked.assign(i, n, ell), p),
-        |&part, members| {
-            let start = config.round1_start(part, members.len());
-            let build = build_weighted_coreset(&members, metric, k, &spec, start);
-            build
-                .coreset
-                .points
-                .into_iter()
-                .map(|wp| (part, wp.point))
-                .collect()
+    let job = |part, members| CoresetJob {
+        base: k,
+        start: config.round1_start(part, members),
+    };
+    let round1 = backend.round1(
+        points,
+        &Round1Plan {
+            ell: config.ell,
+            partitioner: &Chunked,
+            spec: config.coreset,
+            job: &job,
         },
-    );
-    let round1_time = round1_start.elapsed();
-
-    let mut coreset_sizes = vec![0usize; ell];
-    for (part, _) in &coreset_points {
-        coreset_sizes[*part] += 1;
-    }
-    coreset_sizes.retain(|&s| s > 0);
-    let union_size = coreset_points.len();
-
-    // Round 2: gather the union into one reducer, run GMM for k centers.
-    let round2_start = Instant::now();
-    let centers: Vec<P> = engine.round(
-        coreset_points,
-        |(_, p)| ((), p),
-        |_, union| {
-            let result = gmm_select(&union, metric, k, 0);
-            result
+    )?;
+    let union_size = round1.union.len();
+    let (centers, final_radius) = backend.round2(
+        round1.union,
+        |union| {
+            let union = union.points_only();
+            let selected = gmm_select(&union, metric, k, 0);
+            selected
                 .centers
                 .into_iter()
                 .map(|idx| union[idx].clone())
-                .collect()
+                .collect::<Vec<P>>()
         },
+        |centers| radius(points, centers, metric),
     );
-    let round2_time = round2_start.elapsed();
-
-    // Objective evaluation on the full dataset (not part of the MR rounds;
-    // run inside the engine's pool so parallelism honours ℓ).
-    let final_radius = engine.run_scoped(|| radius(points, &centers, metric));
-
     Ok(MrKCenterResult {
         clustering: Clustering {
             centers,
             radius: final_radius,
         },
-        coreset_sizes,
+        coreset_sizes: round1.coreset_sizes,
         union_size,
-        memory: engine.memory_report(),
-        round1_time,
-        round2_time,
+        memory: MemoryReport::default(),
+        round1_time: Duration::ZERO,
+        round2_time: Duration::ZERO,
     })
 }
 

@@ -22,15 +22,14 @@
 //! With [`CoresetSpec::Multiplier`]` { mu: 1 }` the deterministic variant is
 //! exactly the algorithm of Malkomes et al. (2015), the Fig. 4 baseline.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use kcenter_mapreduce::{
-    Adversarial, Chunked, MapReduceEngine, MemoryReport, Partitioner, RandomPartition,
-};
+use kcenter_mapreduce::{Adversarial, Chunked, MemoryReport, Partitioner, RandomPartition};
 use kcenter_metric::{CachedOracle, Metric};
 
-use crate::coreset::{build_weighted_coreset, CoresetSpec, WeightedCoreset, WeightedPoint};
+use crate::coreset::CoresetSpec;
 use crate::error::{check_eps, check_kz, InputError};
+use crate::mr_backend::{mix, CoresetJob, InProcess, MrBackend, Round1Plan};
 use crate::radius_search::{default_matrix_threshold, solve_coreset_cached, SearchMode};
 use crate::solution::{radius_with_outliers, Clustering};
 
@@ -134,16 +133,13 @@ impl MrOutliersConfig {
         }
     }
 
-    /// Validates this configuration against a dataset of `n` points —
-    /// exactly the checks [`mr_kcenter_outliers`] performs before running.
-    /// Public so out-of-process executors (`kcenter-exec`) reject the same
-    /// inputs the in-process engine would.
+    /// Validates this configuration against a dataset of `n` points.
     ///
     /// # Errors
     ///
     /// Returns [`InputError`] for empty input, `k`/`z` out of range,
     /// `ℓ = 0`, or an invalid precision/coreset spec.
-    pub fn validate(&self, n: usize) -> Result<(), InputError> {
+    pub(crate) fn validate(&self, n: usize) -> Result<(), InputError> {
         check_kz(n, self.k, self.z)?;
         if self.ell == 0 {
             return Err(InputError::InvalidParallelism);
@@ -164,10 +160,8 @@ impl MrOutliersConfig {
         Ok(())
     }
 
-    /// The round-1 partitioner this configuration selects — the seeded
-    /// assignment rule the in-process engine and the multi-process
-    /// executor must share for identical partitions.
-    pub fn partitioner(&self) -> Box<dyn Partitioner> {
+    /// The round-1 partitioner this configuration selects.
+    pub(crate) fn partitioner(&self) -> Box<dyn Partitioner> {
         match &self.partitioning {
             MrPartitioning::Chunked => Box::new(Chunked),
             MrPartitioning::Random => Box::new(RandomPartition::new(mix(self.seed, 0xF00D))),
@@ -215,14 +209,8 @@ pub struct MrOutliersResult<P> {
     pub round2_time: Duration,
 }
 
-#[inline]
-fn mix(seed: u64, salt: u64) -> u64 {
-    let mut x = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^ (x >> 31)
-}
-
-/// Runs the 2-round MapReduce k-center-with-outliers algorithm.
+/// Runs the 2-round MapReduce k-center-with-outliers algorithm on the
+/// in-process engine.
 ///
 /// # Errors
 ///
@@ -237,56 +225,65 @@ where
     P: Clone + Send + Sync,
     M: Metric<P>,
 {
+    // Validate before the engine exists: it panics on `ℓ = 0`.
     config.validate(points.len())?;
-    let n = points.len();
-    let base = config.coreset_base(n);
+    let mut backend = InProcess::new(config.ell, metric);
+    let result = mr_kcenter_outliers_on(points, metric, config, &mut backend)?;
+    let (memory, round1_time, round2_time) = backend.accounting();
+    Ok(MrOutliersResult {
+        memory,
+        round1_time,
+        round2_time,
+        ..result
+    })
+}
 
-    let engine = MapReduceEngine::new(config.ell);
-    let ell = config.ell;
-    let spec = config.coreset;
-
+/// The 2-round MapReduce k-center-with-outliers algorithm with its rounds
+/// run by `backend` — the one implementation behind
+/// [`mr_kcenter_outliers`] and the multi-process executor.
+///
+/// Round 1 builds a weighted GMM coreset of base `k + z` (or `k + z'`,
+/// clamped to the partition size) from each partition the configured
+/// [`MrPartitioning`] gives; round 2 runs the radius search on their
+/// union; the objective is the radius on all of `points` with `z`
+/// outliers. The result's `memory` and round times are the backend's
+/// accounting and stay empty here.
+///
+/// # Errors
+///
+/// An invalid configuration (as [`mr_kcenter_outliers`]) fails before
+/// round 1; otherwise whatever the backend's round 1 reports.
+pub fn mr_kcenter_outliers_on<P, M, B>(
+    points: &[P],
+    metric: &M,
+    config: &MrOutliersConfig,
+    backend: &mut B,
+) -> Result<MrOutliersResult<P>, B::Error>
+where
+    P: Clone + Send + Sync,
+    M: Metric<P>,
+    B: MrBackend<P>,
+{
+    config.validate(points.len())?;
+    let base = config.coreset_base(points.len());
     let partitioner = config.partitioner();
-
-    // Round 1: weighted coreset per partition.
-    let round1_start = Instant::now();
-    let inputs: Vec<(usize, P)> = points.iter().cloned().enumerate().collect();
-    let weighted_union: Vec<(usize, WeightedPoint<P>)> = engine.round(
-        inputs,
-        |(i, p)| (partitioner.assign(i, n, ell), p),
-        |&part, members| {
-            let start = config.round1_start(part, members.len());
-            let build =
-                build_weighted_coreset(&members, metric, base.min(members.len()), &spec, start);
-            build
-                .coreset
-                .points
-                .into_iter()
-                .map(|wp| (part, wp))
-                .collect()
+    let job = |part, members: usize| CoresetJob {
+        base: base.min(members),
+        start: config.round1_start(part, members),
+    };
+    let round1 = backend.round1(
+        points,
+        &Round1Plan {
+            ell: config.ell,
+            partitioner: partitioner.as_ref(),
+            spec: config.coreset,
+            job: &job,
         },
-    );
-    let round1_time = round1_start.elapsed();
-
-    let mut coreset_sizes = vec![0usize; ell];
-    for (part, _) in &weighted_union {
-        coreset_sizes[*part] += 1;
-    }
-    coreset_sizes.retain(|&s| s > 0);
-    let union_size = weighted_union.len();
-
-    // Round 2: gather the union, search the radius, extract centers.
-    let (k, z, eps_hat, search, matrix_threshold) = (
-        config.k,
-        config.z,
-        config.eps_hat,
-        config.search,
-        config.matrix_threshold,
-    );
-    let round2_start = Instant::now();
-    let mut solutions = engine.round(
-        weighted_union,
-        |(_, wp)| ((), wp),
-        |_, union| {
+    )?;
+    let union_size = round1.union.len();
+    let (solution, final_radius) = backend.round2(
+        round1.union,
+        |union| {
             // Price the union into one oracle: the radius search's many
             // OutliersCluster evaluations share its lazily built proxy
             // matrix. The handle lives only for this reducer — sweeps
@@ -296,24 +293,18 @@ where
             // oracle loads a previously priced matrix for this exact
             // union instead of rebuilding it, so round 2 of a repeated
             // seeded run costs no distance evaluations at all.
-            let coreset: WeightedCoreset<P> = union.iter().cloned().collect();
-            let oracle = CachedOracle::new(coreset.points_only(), metric, matrix_threshold);
-            vec![solve_coreset_cached(
+            let oracle = CachedOracle::new(union.points_only(), metric, config.matrix_threshold);
+            solve_coreset_cached(
                 &oracle,
-                &coreset.weights(),
-                k,
-                z as u64,
-                eps_hat,
-                search,
-            )]
+                &union.weights(),
+                config.k,
+                config.z as u64,
+                config.eps_hat,
+                config.search,
+            )
         },
+        |solution| radius_with_outliers(points, &solution.centers, config.z, metric),
     );
-    let round2_time = round2_start.elapsed();
-    let solution = solutions.pop().expect("round 2 produced a solution");
-
-    let final_radius =
-        engine.run_scoped(|| radius_with_outliers(points, &solution.centers, z, metric));
-
     Ok(MrOutliersResult {
         clustering: Clustering {
             centers: solution.centers,
@@ -322,12 +313,12 @@ where
         r_min: solution.r_min,
         uncovered_weight: solution.uncovered_weight,
         base,
-        coreset_sizes,
+        coreset_sizes: round1.coreset_sizes,
         union_size,
         search_evaluations: solution.evaluations,
-        memory: engine.memory_report(),
-        round1_time,
-        round2_time,
+        memory: MemoryReport::default(),
+        round1_time: Duration::ZERO,
+        round2_time: Duration::ZERO,
     })
 }
 

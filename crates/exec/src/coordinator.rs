@@ -1,15 +1,19 @@
 //! The coordinator: shards a dataset, schedules jobs onto a persistent
 //! worker fleet, and reduces their results — bit-identical to the
-//! in-process engines.
+//! in-process engine.
 //!
-//! Execution mirrors the paper's 2-round structure end to end:
+//! The algorithms themselves live in `kcenter-core`
+//! ([`mr_kcenter_on`], [`mr_kcenter_outliers_on`]); this module is the
+//! backend that runs their two rounds on a fleet, and the `exec_mr_*`
+//! entry points are thin wrappers that hand it to them. Execution
+//! follows the paper's 2-round structure end to end:
 //!
-//! 1. **Shard.** The input is partitioned with exactly the engine's
-//!    partitioner (`Chunked`, seeded random, or adversarial) and each
-//!    non-empty partition becomes a shard file — freshly written into the
-//!    work directory, or **reused from the artifact store** when a
-//!    content-addressed entry for the identical partition already exists
-//!    (a seeded re-run performs zero shard writes).
+//! 1. **Shard.** The input is partitioned with the partitioner of the
+//!    algorithm's round-1 plan (chunked, seeded random, or adversarial)
+//!    and each non-empty partition becomes a shard file — freshly
+//!    written into the work directory, or **reused from the artifact
+//!    store** when a content-addressed entry for the identical partition
+//!    already exists (a seeded re-run performs zero shard writes).
 //! 2. **Round 1, out of process.** Partitions are queued onto a
 //!    [`WorkerFleet`] of long-lived workers speaking the framed
 //!    request/response protocol (`docs/PROTOCOL.md`) over a pluggable
@@ -23,16 +27,17 @@
 //!    Every connection opens with a protocol `hello` carrying version +
 //!    configuration fingerprints, so a mismatched worker is rejected
 //!    with an attributed error instead of an undefined merge.
-//! 3. **Round 2, as a reduction tree.** Coreset artifacts compose
+//! 3. **The union, as a reduction tree.** Coreset artifacts compose
 //!    **pairwise on workers** up a tree — adjacent nodes merge, the odd
 //!    node carries forward — until one root artifact remains; only that
 //!    root is read by the coordinator, so coordinator-resident state is
 //!    independent of the partition count. Composition is order-preserving
 //!    concatenation in partition-index order, which is associative, so
 //!    the tree's union is **bit-identical** to the flat all-at-once
-//!    collection. The final solve runs on the root union through the
-//!    existing round-2 paths (`gmm_select`, or the radius search over a
-//!    [`CachedOracle`]).
+//!    collection.
+//! 4. **Round 2, in the coordinator.** The algorithm's solve runs on the
+//!    root union, then its objective over the full input (an
+//!    `exec.objective` span inside `exec.round2`).
 //!
 //! **Determinism.** Every stage is bitwise deterministic: partitioning is
 //! seeded, the round-1 kernel is chunk-order invariant under any thread
@@ -45,6 +50,8 @@
 //!
 //! [`mr_kcenter`]: kcenter_core::mapreduce_kcenter::mr_kcenter
 //! [`mr_kcenter_outliers`]: kcenter_core::mapreduce_outliers::mr_kcenter_outliers
+//! [`mr_kcenter_on`]: kcenter_core::mapreduce_kcenter::mr_kcenter_on
+//! [`mr_kcenter_outliers_on`]: kcenter_core::mapreduce_outliers::mr_kcenter_outliers_on
 //!
 //! **Failure handling.** A worker that exits non-zero, dies on a signal,
 //! overruns the timeout, or produces/consumes a truncated artifact
@@ -67,15 +74,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use kcenter_core::coreset::{CoresetSpec, WeightedCoreset, WeightedPoint};
-use kcenter_core::gmm::gmm_select;
-use kcenter_core::mapreduce_kcenter::MrKCenterConfig;
-use kcenter_core::mapreduce_outliers::MrOutliersConfig;
-use kcenter_core::radius_search::solve_coreset_cached;
-use kcenter_core::solution::{radius, radius_with_outliers};
+use kcenter_core::coreset::{WeightedCoreset, WeightedPoint};
+use kcenter_core::mapreduce_kcenter::{mr_kcenter_on, MrKCenterConfig};
+use kcenter_core::mapreduce_outliers::{mr_kcenter_outliers_on, MrOutliersConfig};
+use kcenter_core::mr_backend::{MrBackend, Round1Output, Round1Plan};
 use kcenter_core::Clustering;
-use kcenter_mapreduce::{partition_dataset, Chunked};
-use kcenter_metric::{CachedOracle, Fingerprint, Point};
+use kcenter_mapreduce::partition_dataset;
+use kcenter_metric::{Fingerprint, Point};
 use kcenter_store::{ArtifactKind, ArtifactStore};
 
 use crate::error::ExecError;
@@ -642,9 +647,8 @@ impl WorkerFleet {
                         _ => {
                             // `err` replies are deterministic worker-side
                             // failures (bad input, unwritable output):
-                            // replaying cannot help, so fail now. Code 1
-                            // mirrors the one-shot worker's exit code for
-                            // the same failures.
+                            // replaying cannot help, so fail now, with
+                            // code 1 for a failed job.
                             let message = match parts.first().map(String::as_str) {
                                 Some("err") => parts.get(1).cloned().unwrap_or_default(),
                                 _ => format!("unexpected reply frame: {parts:?}"),
@@ -791,10 +795,10 @@ impl Drop for WorkerFleet {
     }
 }
 
-/// Runs the multi-process 2-round k-center algorithm (the executor twin
-/// of [`kcenter_core::mapreduce_kcenter::mr_kcenter`]) on a one-shot
-/// fleet: spawn, run, shut down. Use [`exec_mr_kcenter_on`] to reuse a
-/// warm fleet across runs.
+/// Runs the 2-round k-center algorithm of
+/// [`kcenter_core::mapreduce_kcenter::mr_kcenter`] with round 1 on a
+/// one-shot fleet: spawn, run, shut down. Use [`exec_mr_kcenter_on`] to
+/// reuse a warm fleet across runs.
 ///
 /// # Errors
 ///
@@ -828,57 +832,18 @@ pub fn exec_mr_kcenter_on(
     config: &MrKCenterConfig,
     exec: &ExecConfig,
 ) -> Result<ExecKCenterResult, ExecError> {
-    config.validate(points.len())?;
-    // Round timing runs through obs spans: the same measurement feeds the
-    // `exec.round1.micros` / `exec.round2.micros` histograms, the JSONL
-    // trace (when enabled), and the `ExecReport` fields.
-    let mut round1_span = kcenter_obs::span!("exec.round1", "algo" => "kcenter");
-    let round1_ctx = round1_span.id();
-    let partitions = nonempty_partitions(partition_dataset(points, config.ell, &Chunked));
-    let jobs: Vec<JobSpec> = partitions
-        .iter()
-        .map(|(part, members)| JobSpec {
-            partition: *part,
-            base: config.k,
-            start: config.round1_start(*part, members.len()),
-        })
-        .collect();
-    let mut round = run_distributed_round(
-        fleet,
-        &partitions,
-        &jobs,
-        metric,
-        config.coreset,
-        exec,
-        Some(round1_ctx),
-    )?;
-    round1_span.add_field("partitions", partitions.len());
-    let round1_time = round1_span.finish();
-
-    let round2_span = kcenter_obs::span!("exec.round2", "algo" => "kcenter");
-    let union = std::mem::take(&mut round.union_points);
-    let (centers, final_radius) = with_metric!(metric, m => {
-        let selected = gmm_select(&union, m, config.k, 0);
-        let centers: Vec<Point> = selected.centers.into_iter().map(|i| union[i].clone()).collect();
-        let final_radius = radius(points, &centers, m);
-        (centers, final_radius)
-    });
-    let round2_time = round2_span.field("union", union.len()).finish();
-
+    let mut backend = FleetBackend::new(fleet, metric, exec, "kcenter");
+    let result = with_metric!(metric, m => mr_kcenter_on(points, m, config, &mut backend))?;
     Ok(ExecKCenterResult {
-        clustering: Clustering {
-            centers,
-            radius: final_radius,
-        },
-        report: round.into_report(union.len(), round1_time, round2_time),
+        clustering: result.clustering,
+        report: backend.report,
     })
 }
 
-/// Runs the multi-process 2-round k-center-with-outliers algorithm
-/// (the executor twin of
-/// [`kcenter_core::mapreduce_outliers::mr_kcenter_outliers`]),
-/// deterministic or randomized per the configuration, on a one-shot
-/// fleet. Use [`exec_mr_outliers_on`] to reuse a warm fleet.
+/// Runs the 2-round k-center-with-outliers algorithm of
+/// [`kcenter_core::mapreduce_outliers::mr_kcenter_outliers`],
+/// deterministic or randomized per the configuration, with round 1 on a
+/// one-shot fleet. Use [`exec_mr_outliers_on`] to reuse a warm fleet.
 ///
 /// # Errors
 ///
@@ -907,130 +872,103 @@ pub fn exec_mr_outliers_on(
     config: &MrOutliersConfig,
     exec: &ExecConfig,
 ) -> Result<ExecOutliersResult, ExecError> {
-    config.validate(points.len())?;
-    let n = points.len();
-    let base = config.coreset_base(n);
-
-    let mut round1_span = kcenter_obs::span!("exec.round1", "algo" => "outliers");
-    let round1_ctx = round1_span.id();
-    let partitioner = config.partitioner();
-    let partitions =
-        nonempty_partitions(partition_dataset(points, config.ell, partitioner.as_ref()));
-    let jobs: Vec<JobSpec> = partitions
-        .iter()
-        .map(|(part, members)| JobSpec {
-            partition: *part,
-            base: base.min(members.len()),
-            start: config.round1_start(*part, members.len()),
-        })
-        .collect();
-    let round = run_distributed_round(
-        fleet,
-        &partitions,
-        &jobs,
-        metric,
-        config.coreset,
-        exec,
-        Some(round1_ctx),
-    )?;
-    round1_span.add_field("partitions", partitions.len());
-    let round1_time = round1_span.finish();
-
-    let round2_span = kcenter_obs::span!("exec.round2", "algo" => "outliers");
-    let coreset: WeightedCoreset<Point> = round
-        .union_points
-        .iter()
-        .zip(&round.union_weights)
-        .map(|(p, &w)| WeightedPoint {
-            point: p.clone(),
-            weight: w,
-        })
-        .collect();
-    let union_size = coreset.len();
-    let (solution, final_radius) = with_metric!(metric, m => {
-        // Same round-2 shape as the in-process reducer: price the union
-        // into one oracle (which consults the persistent store when
-        // installed) and search the radius on it.
-        let oracle = CachedOracle::new(coreset.points_only(), m, config.matrix_threshold);
-        let solution = solve_coreset_cached(
-            &oracle,
-            &coreset.weights(),
-            config.k,
-            config.z as u64,
-            config.eps_hat,
-            config.search,
-        );
-        let final_radius = radius_with_outliers(points, &solution.centers, config.z, m);
-        (solution, final_radius)
-    });
-    let round2_time = round2_span.field("union", union_size).finish();
-
+    let mut backend = FleetBackend::new(fleet, metric, exec, "outliers");
+    let result =
+        with_metric!(metric, m => mr_kcenter_outliers_on(points, m, config, &mut backend))?;
     Ok(ExecOutliersResult {
-        clustering: Clustering {
-            centers: solution.centers,
-            radius: final_radius,
-        },
-        r_min: solution.r_min,
-        uncovered_weight: solution.uncovered_weight,
-        base,
-        search_evaluations: solution.evaluations,
-        report: round.into_report(union_size, round1_time, round2_time),
+        clustering: result.clustering,
+        r_min: result.r_min,
+        uncovered_weight: result.uncovered_weight,
+        base: result.base,
+        search_evaluations: result.search_evaluations,
+        report: backend.report,
     })
 }
 
-/// Per-partition worker parameters the algorithm layer computes.
-struct JobSpec {
-    partition: usize,
-    base: usize,
-    start: usize,
+/// The fleet's side of [`MrBackend`]: round 1 on the workers, round 2 in
+/// this process, both timed by obs spans that also fill the
+/// [`ExecReport`].
+struct FleetBackend<'a> {
+    fleet: &'a mut WorkerFleet,
+    metric: MetricKind,
+    exec: &'a ExecConfig,
+    /// The `algo` field of the round spans.
+    algo: &'static str,
+    report: ExecReport,
 }
 
-/// Everything the distributed phase (round 1 + reduction tree) produces.
-struct RoundData {
-    union_points: Vec<Point>,
-    union_weights: Vec<u64>,
-    coreset_sizes: Vec<usize>,
-    workers: Vec<WorkerStat>,
-    shard_writes: usize,
-    shard_reuses: usize,
-    workers_spawned: usize,
-    worker_respawns: usize,
-    reconnects: usize,
-    merge_jobs: usize,
-}
-
-impl RoundData {
-    fn into_report(
-        self,
-        union_size: usize,
-        round1_time: Duration,
-        round2_time: Duration,
-    ) -> ExecReport {
-        ExecReport {
-            coreset_sizes: self.coreset_sizes,
-            union_size,
-            workers: self.workers,
-            round1_time,
-            round2_time,
-            shard_writes: self.shard_writes,
-            shard_reuses: self.shard_reuses,
-            workers_spawned: self.workers_spawned,
-            worker_respawns: self.worker_respawns,
-            reconnects: self.reconnects,
-            merge_jobs: self.merge_jobs,
+impl<'a> FleetBackend<'a> {
+    fn new(
+        fleet: &'a mut WorkerFleet,
+        metric: MetricKind,
+        exec: &'a ExecConfig,
+        algo: &'static str,
+    ) -> FleetBackend<'a> {
+        FleetBackend {
+            fleet,
+            metric,
+            exec,
+            algo,
+            report: ExecReport::default(),
         }
     }
 }
 
-/// Drops empty partitions, keeping each partition's id — the exact shape
-/// of the in-process shuffle, whose `BTreeMap` grouping only ever sees
-/// keys with at least one member and visits them in ascending order.
-fn nonempty_partitions(buckets: Vec<Vec<Point>>) -> Vec<(usize, Vec<Point>)> {
-    buckets
-        .into_iter()
-        .enumerate()
-        .filter(|(_, members)| !members.is_empty())
-        .collect()
+impl MrBackend<Point> for FleetBackend<'_> {
+    type Error = ExecError;
+
+    fn round1(
+        &mut self,
+        points: &[Point],
+        plan: &Round1Plan<'_>,
+    ) -> Result<Round1Output<Point>, ExecError> {
+        // Round timing runs through obs spans: the same measurement feeds
+        // the `exec.round1.micros` / `exec.round2.micros` histograms, the
+        // JSONL trace (when enabled), and the `ExecReport` fields.
+        let mut span = kcenter_obs::span!("exec.round1", "algo" => self.algo);
+        // Empty partitions keep no shard and build no coreset — the shape
+        // of the in-process shuffle, which only ever sees keys with at
+        // least one member and visits them in ascending order.
+        let partitions: Vec<(usize, Vec<Point>)> =
+            partition_dataset(points, plan.ell, plan.partitioner)
+                .into_iter()
+                .enumerate()
+                .filter(|(_, members)| !members.is_empty())
+                .collect();
+        let union = run_distributed_round(
+            self.fleet,
+            &partitions,
+            plan,
+            self.metric,
+            self.exec,
+            Some(span.id()),
+            &mut self.report,
+        )?;
+        span.add_field("partitions", partitions.len());
+        self.report.round1_time = span.finish();
+        Ok(Round1Output {
+            union,
+            coreset_sizes: self.report.coreset_sizes.clone(),
+        })
+    }
+
+    /// `ExecReport::round2_time` covers the solve and the objective; the
+    /// objective also gets its own `exec.objective` span inside.
+    fn round2<S, F, O>(&mut self, union: WeightedCoreset<Point>, solve: F, objective: O) -> (S, f64)
+    where
+        S: Send + Sync,
+        F: Fn(&WeightedCoreset<Point>) -> S + Sync,
+        O: FnOnce(&S) -> f64 + Send,
+    {
+        let span = kcenter_obs::span!("exec.round2", "algo" => self.algo);
+        let answer = solve(&union);
+        let objective_span = kcenter_obs::span!("exec.objective");
+        let value = objective(&answer);
+        objective_span.finish();
+        self.report.union_size = union.len();
+        self.report.round2_time = span.field("union", union.len()).finish();
+        (answer, value)
+    }
 }
 
 /// Content fingerprint of one partition's shard (coordinates by bit
@@ -1081,16 +1019,16 @@ fn materialize_shard(
 /// The distributed phase: shard (with content-addressed reuse), run
 /// round 1 on the fleet, and reduce the per-partition coresets pairwise
 /// up the tree until one root artifact remains, which is the only
-/// artifact the coordinator reads.
+/// artifact the coordinator reads. Fills the round-1 half of `report`.
 fn run_distributed_round(
     fleet: &mut WorkerFleet,
     partitions: &[(usize, Vec<Point>)],
-    jobs: &[JobSpec],
+    plan: &Round1Plan<'_>,
     metric: MetricKind,
-    spec: CoresetSpec,
     exec: &ExecConfig,
     parent_span: Option<u64>,
-) -> Result<RoundData, ExecError> {
+    report: &mut ExecReport,
+) -> Result<WeightedCoreset<Point>, ExecError> {
     let spawned_before = fleet.spawned_total;
     let respawned_before = fleet.respawned_total;
     let reconnects_before = fleet.reconnects_total();
@@ -1111,10 +1049,8 @@ fn run_distributed_round(
 
     // Shard: one input file per non-empty partition, store-served where
     // the content-addressed entry already exists.
-    let mut shard_writes = 0usize;
-    let mut shard_reuses = 0usize;
-    let mut round1_jobs = Vec::with_capacity(jobs.len());
-    let mut outs = Vec::with_capacity(jobs.len());
+    let mut round1_jobs = Vec::with_capacity(partitions.len());
+    let mut outs = Vec::with_capacity(partitions.len());
     // Remote workers cannot dereference this host's absolute paths, but
     // a shard that lives in the (shared) artifact store has a stable,
     // content-addressed file name — so remote jobs reference it as
@@ -1134,23 +1070,22 @@ fn run_distributed_round(
         }
         shard.to_path_buf()
     };
-    for ((part, members), job) in partitions.iter().zip(jobs) {
-        debug_assert_eq!(*part, job.partition);
+    for (part, members) in partitions {
         let (shard, reused) =
             materialize_shard(exec.shard_store.as_ref(), &work_dir, *part, members)?;
         if reused {
-            shard_reuses += 1;
+            report.shard_reuses += 1;
         } else {
-            shard_writes += 1;
+            report.shard_writes += 1;
         }
-        let shard = store_relative(&shard);
+        let job = (plan.job)(*part, members.len());
         let out = work_dir.join(format!("coreset-{part:05}.kca"));
         let args = WorkerArgs {
-            shard,
+            shard: store_relative(&shard),
             out: out.clone(),
             metric,
             base: job.base,
-            spec,
+            spec: plan.spec,
             start: job.start,
             span: parent_span,
         };
@@ -1167,33 +1102,27 @@ fn run_distributed_round(
 
     // Round 1 on the fleet.
     let round1_results = fleet.run_jobs(&round1_jobs, deadline, exec.timeout, exec.job_retries)?;
-    let mut workers = Vec::with_capacity(jobs.len());
-    let mut coreset_sizes = Vec::with_capacity(jobs.len());
-    for ((part, members), (report, wall)) in partitions.iter().zip(&round1_results) {
-        workers.push(WorkerStat {
+    for ((part, members), (worker, wall)) in partitions.iter().zip(&round1_results) {
+        report.workers.push(WorkerStat {
             partition: *part,
-            shard_points: if report.points > 0 {
-                report.points
+            shard_points: if worker.points > 0 {
+                worker.points
             } else {
                 members.len()
             },
-            coreset_size: report.coreset,
+            coreset_size: worker.coreset,
             wall: *wall,
-            build: Duration::from_micros(report.build_micros),
+            build: Duration::from_micros(worker.build_micros),
         });
-        coreset_sizes.push(report.coreset);
+        report.coreset_sizes.push(worker.coreset);
     }
 
     // Reduction tree: adjacent pairs merge on workers, the odd node
     // carries forward, level by level, in partition-index order — the
     // parenthesization-invariant composition that keeps the root union
     // bit-identical to a flat concatenation.
-    let mut merge_jobs_total = 0usize;
-    let mut nodes: Vec<(usize, PathBuf)> = partitions
-        .iter()
-        .map(|(part, _)| *part)
-        .zip(outs.iter().cloned())
-        .collect();
+    let mut nodes: Vec<(usize, PathBuf)> =
+        partitions.iter().map(|(part, _)| *part).zip(outs).collect();
     let mut level = 0usize;
     while nodes.len() > 1 {
         let mut merge_jobs = Vec::new();
@@ -1227,7 +1156,7 @@ fn run_distributed_round(
                 None => next.push((left_part, left_path)), // odd node carries
             }
         }
-        merge_jobs_total += merge_jobs.len();
+        report.merge_jobs += merge_jobs.len();
         fleet.run_jobs(&merge_jobs, deadline, exec.timeout, exec.job_retries)?;
         nodes = next;
         level += 1;
@@ -1244,53 +1173,35 @@ fn run_distributed_round(
             reason: err.to_string(),
         })?;
     drop(guard);
-    let workers_spawned = fleet.spawned_total - spawned_before;
-    let worker_respawns = fleet.respawned_total - respawned_before;
-    let reconnects = fleet.reconnects_total() - reconnects_before;
+    report.workers_spawned = fleet.spawned_total - spawned_before;
+    report.worker_respawns = fleet.respawned_total - respawned_before;
+    report.reconnects = fleet.reconnects_total() - reconnects_before;
     // The same accounting that lands in `ExecReport` accumulates into the
     // process-wide registry, under the executor's counter family.
     let obs = kcenter_obs::registry();
     obs.counter("exec.jobs.coreset")
         .add(round1_jobs.len() as u64);
-    obs.counter("exec.jobs.merge").add(merge_jobs_total as u64);
-    obs.counter("exec.shards.written").add(shard_writes as u64);
-    obs.counter("exec.shards.reused").add(shard_reuses as u64);
+    obs.counter("exec.jobs.merge").add(report.merge_jobs as u64);
+    obs.counter("exec.shards.written")
+        .add(report.shard_writes as u64);
+    obs.counter("exec.shards.reused")
+        .add(report.shard_reuses as u64);
     obs.counter("exec.workers.spawned")
-        .add(workers_spawned as u64);
+        .add(report.workers_spawned as u64);
     obs.counter("exec.workers.respawned")
-        .add(worker_respawns as u64);
-    obs.counter("exec.reconnects").add(reconnects as u64);
-    Ok(RoundData {
-        union_points,
-        union_weights,
-        coreset_sizes,
-        workers,
-        shard_writes,
-        shard_reuses,
-        workers_spawned,
-        worker_respawns,
-        reconnects,
-        merge_jobs: merge_jobs_total,
-    })
+        .add(report.worker_respawns as u64);
+    obs.counter("exec.reconnects").add(report.reconnects as u64);
+    Ok(union_points
+        .into_iter()
+        .zip(union_weights)
+        .map(|(point, weight)| WeightedPoint { point, weight })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nonempty_partitions_keep_ids() {
-        let buckets = vec![
-            vec![Point::new(vec![1.0])],
-            Vec::new(),
-            vec![Point::new(vec![2.0]), Point::new(vec![3.0])],
-        ];
-        let parts = nonempty_partitions(buckets);
-        assert_eq!(parts.len(), 2);
-        assert_eq!(parts[0].0, 0);
-        assert_eq!(parts[1].0, 2);
-        assert_eq!(parts[1].1.len(), 2);
-    }
+    use kcenter_core::coreset::CoresetSpec;
 
     #[test]
     fn invalid_configs_fail_before_any_process_work() {

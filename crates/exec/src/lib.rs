@@ -7,11 +7,14 @@
 //! deployment shape of the composable-coreset line (Indyk et al.) under
 //! the MRC execution model (Karloff–Suri–Vassilvitskii):
 //!
-//! * a **coordinator** ([`coordinator`]) that shards the dataset into
-//!   per-worker files, maintains a persistent [`coordinator::WorkerFleet`]
-//!   of framed workers, supervises them (crash, disconnect, timeout,
-//!   torn-artifact handling with bounded replay), and reduces the
-//!   collected coresets through the existing round-2 paths;
+//! * a **coordinator** ([`coordinator`]) that runs `kcenter-core`'s
+//!   MapReduce algorithms as one more backend of their rounds
+//!   ([`kcenter_core::mr_backend::MrBackend`]): it shards the dataset
+//!   into per-worker files, maintains a persistent
+//!   [`coordinator::WorkerFleet`] of framed workers, supervises them
+//!   (crash, disconnect, timeout, torn-artifact handling with bounded
+//!   replay), and runs the algorithm's own round 2 on the collected
+//!   union — the executor holds no algorithm code;
 //! * a **worker** ([`worker`]) that mmap-loads its shard, runs the shared
 //!   round-1 kernel with its own rayon pool, and atomically writes a
 //!   weighted coreset back through the store codec;

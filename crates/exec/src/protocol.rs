@@ -1,17 +1,16 @@
 //! The coordinator ↔ worker wire protocol.
 //!
-//! Workers are plain OS processes. A **one-shot** worker receives
-//! everything as command-line flags and produces an on-disk artifact plus
-//! one machine-parsable stdout line. A **persistent** worker (`--serve`)
-//! instead speaks a length-delimited request/response framing over
-//! stdin/stdout — each frame is a list of strings, and a request frame
-//! carries exactly the flag list a one-shot invocation would have
-//! received, so both modes parse with the same [`crate::worker::WorkerArgs`]
-//! code. All values round-trip exactly: integers as decimal, `f64`s
-//! through Rust's shortest-round-trip formatting (guaranteed bit-exact on
-//! re-parse), metrics by their stable cache name — so a worker
-//! reconstructs precisely the sub-problem the coordinator carved out, and
-//! bit-identical results follow from the shared round-1 kernel.
+//! Workers are plain OS processes that serve jobs until told to stop: a
+//! length-delimited request/response framing over stdin/stdout
+//! (`--serve`) or over a TCP connection (`--listen`/`--connect`). Each
+//! frame is a list of strings; a job's request frame is its verb followed
+//! by a flag list ([`crate::worker::WorkerArgs`],
+//! [`crate::worker::MergeArgs`]). All values round-trip exactly: integers
+//! as decimal, `f64`s through Rust's shortest-round-trip formatting
+//! (guaranteed bit-exact on re-parse), metrics by their stable cache
+//! name — so a worker reconstructs precisely the sub-problem the
+//! coordinator carved out, and bit-identical results follow from the
+//! shared round-1 kernel.
 //!
 //! # Frame layout
 //!
@@ -366,10 +365,7 @@ pub fn parse_hello_ack(parts: &[String]) -> Result<(), String> {
     }
 }
 
-/// Prefix of the worker's machine-parsable stdout report line.
-pub const REPORT_PREFIX: &str = "kcenter-exec-worker:";
-
-/// What a worker reports on stdout after a successful build.
+/// What a worker reports in the `ok` reply to a successful job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkerReport {
     /// Points in the shard.
@@ -382,14 +378,6 @@ pub struct WorkerReport {
 }
 
 impl WorkerReport {
-    /// The stdout line a worker prints.
-    pub fn to_line(self) -> String {
-        format!(
-            "{REPORT_PREFIX} points={} coreset={} build_micros={}",
-            self.points, self.coreset, self.build_micros
-        )
-    }
-
     /// The `["ok", k=v…]` reply frame a persistent worker sends.
     pub fn to_reply(self) -> Vec<String> {
         vec![
@@ -431,30 +419,6 @@ impl WorkerReport {
         let mut reply = self.to_reply();
         reply.extend(telemetry.reply_fields());
         reply
-    }
-
-    /// Parses a worker's stdout, tolerating any surrounding noise lines.
-    pub fn parse(stdout: &str) -> Option<WorkerReport> {
-        let line = stdout
-            .lines()
-            .find(|l| l.trim_start().starts_with(REPORT_PREFIX))?;
-        let mut points = None;
-        let mut coreset = None;
-        let mut build_micros = None;
-        for field in line.trim_start()[REPORT_PREFIX.len()..].split_whitespace() {
-            let (key, value) = field.split_once('=')?;
-            match key {
-                "points" => points = value.parse().ok(),
-                "coreset" => coreset = value.parse().ok(),
-                "build_micros" => build_micros = value.parse().ok(),
-                _ => {}
-            }
-        }
-        Some(WorkerReport {
-            points: points?,
-            coreset: coreset?,
-            build_micros: build_micros?,
-        })
     }
 }
 
@@ -716,18 +680,5 @@ mod tests {
             WorkerTelemetry::from_reply(&report.to_reply()),
             WorkerTelemetry::default()
         );
-    }
-
-    #[test]
-    fn report_line_round_trips_and_tolerates_noise() {
-        let report = WorkerReport {
-            points: 1000,
-            coreset: 40,
-            build_micros: 12345,
-        };
-        let stdout = format!("some banner\n{}\ntrailing", report.to_line());
-        assert_eq!(WorkerReport::parse(&stdout), Some(report));
-        assert_eq!(WorkerReport::parse("no report here"), None);
-        assert_eq!(WorkerReport::parse("kcenter-exec-worker: points=1"), None);
     }
 }

@@ -44,9 +44,8 @@ use std::time::{Duration, Instant};
 use crate::protocol::{read_frame, write_frame};
 
 /// How to invoke a worker process: a program plus fixed leading arguments
-/// (the fleet appends `--serve`; one-shot spawns append the per-partition
-/// worker flags) and extra environment variables (set on top of the
-/// inherited environment, after the coordinator's strip of
+/// (the fleet appends `--serve`) and extra environment variables (set on
+/// top of the inherited environment, after the coordinator's strip of
 /// `KCENTER_EXEC_FAULT` and `KCENTER_CACHE_DIR`).
 #[derive(Clone, Debug)]
 pub struct WorkerCommand {

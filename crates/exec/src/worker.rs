@@ -68,7 +68,7 @@ use crate::with_metric;
 /// Environment variable enabling deliberate worker misbehaviour in tests.
 pub const FAULT_ENV: &str = "KCENTER_EXEC_FAULT";
 
-/// A parsed worker invocation.
+/// A parsed `coreset` job: the flags of its request frame.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkerArgs {
     /// Input shard file.
@@ -91,7 +91,7 @@ pub struct WorkerArgs {
 }
 
 impl WorkerArgs {
-    /// The flag list a coordinator appends to its worker command.
+    /// The flag list a coordinator puts in a `coreset` request frame.
     pub fn to_args(&self) -> Vec<String> {
         let mut args = vec![
             "--shard".into(),
@@ -119,8 +119,8 @@ impl WorkerArgs {
     /// # Errors
     ///
     /// Returns a human-readable message for unknown flags, missing values,
-    /// or malformed numbers — printed to the worker's stderr, which the
-    /// coordinator captures into its failure report.
+    /// or malformed numbers — sent back as the job's `err` reply, which
+    /// the coordinator reports as a worker failure.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<WorkerArgs, String> {
         let mut shard = None;
         let mut out = None;
@@ -174,7 +174,7 @@ impl WorkerArgs {
     }
 }
 
-/// Runs one worker: shard in, weighted-coreset artifact out.
+/// Runs one `coreset` job: shard in, weighted-coreset artifact out.
 ///
 /// # Errors
 ///
@@ -727,13 +727,13 @@ fn remote_main(args: Vec<String>) -> i32 {
     }
 }
 
-/// Full worker entry point for binaries: parses flags, applies the fault
-/// hooks, runs the build, prints the report line, and returns the process
-/// exit code (0 on success).
+/// Full worker entry point for binaries: picks the serving mode, applies
+/// the fault hooks, and returns the process exit code.
 ///
-/// `--serve` as the first argument enters the persistent-worker loop
-/// instead: framed requests on stdin, framed replies on stdout, until
-/// EOF or `shutdown`.
+/// Every worker is persistent and needs a mode: `--serve` as the first
+/// argument serves framed requests on stdin and replies on stdout until
+/// EOF or `shutdown`; `--listen ADDR` and `--connect ADDR` serve over
+/// TCP (see the module docs). Anything else is a usage error (exit 2).
 pub fn worker_main<I: IntoIterator<Item = String>>(args: I) -> i32 {
     let argv: Vec<String> = args.into_iter().collect();
     if argv.iter().any(|a| a == "--listen" || a == "--connect") {
@@ -753,27 +753,14 @@ pub fn worker_main<I: IntoIterator<Item = String>>(args: I) -> i32 {
         }
         _ => {}
     }
-    let mut args = argv.into_iter().peekable();
-    if args.peek().map(String::as_str) == Some("--serve") {
+    if argv.first().map(String::as_str) == Some("--serve") {
         return serve();
     }
-    let parsed = match WorkerArgs::parse(args) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            eprintln!("kcenter-exec-worker: {msg}");
-            return 2;
-        }
-    };
-    match run_worker(&parsed) {
-        Ok(report) => {
-            println!("{}", report.to_line());
-            0
-        }
-        Err(msg) => {
-            eprintln!("kcenter-exec-worker: {msg}");
-            1
-        }
-    }
+    eprintln!(
+        "kcenter-exec-worker: a worker needs a mode: --serve (framed jobs on \
+         stdin/stdout), --listen ADDR or --connect ADDR"
+    );
+    2
 }
 
 #[cfg(test)]

@@ -35,11 +35,12 @@
 //! protocol preserves the workspace's determinism standard.
 
 use std::io::{self, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use kcenter_exec::protocol::{read_frame, write_frame, PROTOCOL_VERSION};
 use kcenter_metric::{Metric, Point};
@@ -275,72 +276,52 @@ fn wake_all(targets: &[WakeTarget]) {
 
 /// One listener's accept loop: serves connections on their own threads
 /// until the shared stop flag is raised (by a `["shutdown"]` on *any*
-/// listener), then joins its connections.
-fn accept_loop<M: Metric<Point> + Clone + Send + Sync + 'static>(
-    bound: BoundListener,
+/// listener), then ends its connections and joins them. `end_reads`
+/// shuts down the read half of a connection.
+fn accept_loop<M, S>(
+    accept: impl Fn() -> io::Result<S>,
+    end_reads: fn(&S) -> io::Result<()>,
     registry: Arc<SessionRegistry<M>>,
     stop: Arc<AtomicBool>,
     wake: Arc<Vec<WakeTarget>>,
-) {
-    let mut workers = Vec::new();
-    loop {
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        // Both arms produce the connection as a (reader, writer) pair so
-        // one framed loop serves either stream flavour.
-        let served: io::Result<bool> = match &bound {
-            BoundListener::Unix(listener, _) => match listener.accept() {
-                Ok((conn, _)) if stop.load(Ordering::Acquire) => {
-                    drop(conn);
-                    break;
-                }
-                Ok((conn, _)) => {
-                    let registry = Arc::clone(&registry);
-                    let stop = Arc::clone(&stop);
-                    let wake = Arc::clone(&wake);
-                    workers.push(std::thread::spawn(move || {
-                        let halves = conn.try_clone().map(|r| (BufReader::new(r), conn));
-                        finish_connection(
-                            halves.and_then(|(r, w)| serve_connection(registry.as_ref(), r, w)),
-                            &stop,
-                            &wake,
-                        );
-                    }));
-                    continue;
-                }
-                Err(err) => Err(err).map(|()| true),
-            },
-            BoundListener::Tcp(listener) => match listener.accept() {
-                Ok((conn, _)) if stop.load(Ordering::Acquire) => {
-                    drop(conn);
-                    break;
-                }
-                Ok((conn, _)) => {
-                    let _ = conn.set_nodelay(true);
-                    let registry = Arc::clone(&registry);
-                    let stop = Arc::clone(&stop);
-                    let wake = Arc::clone(&wake);
-                    workers.push(std::thread::spawn(move || {
-                        let halves = conn.try_clone().map(|r| (BufReader::new(r), conn));
-                        finish_connection(
-                            halves.and_then(|(r, w)| serve_connection(registry.as_ref(), r, w)),
-                            &stop,
-                            &wake,
-                        );
-                    }));
-                    continue;
-                }
-                Err(err) => Err(err).map(|()| true),
-            },
+) where
+    M: Metric<Point> + Clone + Send + Sync + 'static,
+    S: Send + Sync + 'static,
+    for<'a> &'a S: Read + Write,
+{
+    let mut live: Vec<(Arc<S>, JoinHandle<()>)> = Vec::new();
+    while !stop.load(Ordering::Acquire) {
+        let conn = match accept() {
+            // The wake-up poke of a stopping server, or a latecomer.
+            Ok(_) if stop.load(Ordering::Acquire) => break,
+            Ok(conn) => Arc::new(conn),
+            Err(err) => {
+                eprintln!("kcenter-serve: accept error: {err}");
+                break;
+            }
         };
-        if let Err(err) = served {
-            eprintln!("kcenter-serve: accept error: {err}");
-            break;
+        // A long-lived server keeps nothing per past connection.
+        for (_, thread) in live.extract_if(.., |(_, thread)| thread.is_finished()) {
+            let _ = thread.join();
         }
+        let registry = Arc::clone(&registry);
+        let stop = Arc::clone(&stop);
+        let wake = Arc::clone(&wake);
+        let stream = Arc::clone(&conn);
+        let thread = std::thread::spawn(move || {
+            let outcome = serve_connection(registry.as_ref(), BufReader::new(&*stream), &*stream);
+            finish_connection(outcome, &stop, &wake);
+        });
+        live.push((conn, thread));
     }
-    for worker in workers {
-        let _ = worker.join();
+    // A connection idle in `read_frame` would hold its join forever: end
+    // every read, so idle connections see EOF while a reply already being
+    // computed is still written.
+    for (conn, _) in &live {
+        let _ = end_reads(conn);
+    }
+    for (_, thread) in live {
+        let _ = thread.join();
     }
 }
 
@@ -411,7 +392,26 @@ pub fn run_server_on<M: Metric<Point> + Clone + Send + Sync + 'static>(
             let registry = Arc::clone(&registry);
             let stop = Arc::clone(&stop);
             let wake = Arc::clone(&wake);
-            std::thread::spawn(move || accept_loop(listener, registry, stop, wake))
+            std::thread::spawn(move || match listener {
+                BoundListener::Unix(listener, _) => accept_loop(
+                    || listener.accept().map(|(conn, _)| conn),
+                    |conn| conn.shutdown(Shutdown::Read),
+                    registry,
+                    stop,
+                    wake,
+                ),
+                BoundListener::Tcp(listener) => accept_loop(
+                    || {
+                        let (conn, _) = listener.accept()?;
+                        let _ = conn.set_nodelay(true);
+                        Ok(conn)
+                    },
+                    |conn| conn.shutdown(Shutdown::Read),
+                    registry,
+                    stop,
+                    wake,
+                ),
+            })
         })
         .collect();
     for acceptor in acceptors {

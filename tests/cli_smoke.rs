@@ -181,3 +181,39 @@ fn k_zero_is_a_usage_error_for_every_algorithm() {
         }
     }
 }
+
+/// Every worker is persistent: `kcenter worker` with job flags but no
+/// mode is a usage error naming the three modes, not a one-job run.
+#[test]
+fn worker_without_a_mode_is_a_usage_error() {
+    let args = [
+        "worker",
+        "--shard",
+        "x.kca",
+        "--out",
+        "y.kca",
+        "--metric",
+        "euclidean",
+        "--base",
+        "3",
+        "--spec",
+        "mult:2",
+        "--start",
+        "0",
+    ];
+    let output = kcenter_output(&args);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(
+        output.status.code(),
+        Some(2),
+        "kcenter {args:?} exited with {}\n{stderr}",
+        output.status
+    );
+    assert!(
+        !stderr.contains("panicked"),
+        "kcenter {args:?} panicked:\n{stderr}"
+    );
+    for mode in ["--serve", "--listen", "--connect"] {
+        assert!(stderr.contains(mode), "usage names no {mode}:\n{stderr}");
+    }
+}

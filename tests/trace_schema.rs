@@ -198,6 +198,14 @@ fn procs4_trace_is_schema_valid_and_result_invariant() {
     assert_eq!(root.parent, None, "cli.cluster must be the root span");
     assert_eq!(round1.parent, Some(root.id));
     assert_eq!(round2.parent, Some(root.id));
+    // The objective over the full input is timed on its own, inside
+    // round 2.
+    let objective: Vec<&SpanRec> = spans
+        .iter()
+        .filter(|s| s.name == "exec.objective")
+        .collect();
+    assert_eq!(objective.len(), 1, "one exec.objective span");
+    assert_eq!(objective[0].parent, Some(round2.id));
 
     // Merged worker spans: one coreset job per partition, attributed to
     // its worker and parented to round 1, started within it.
