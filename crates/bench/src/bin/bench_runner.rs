@@ -4,21 +4,21 @@
 //! store-served vs re-written shards) and the serve-layer session
 //! registry (batched ingest throughput, query latency solver-path vs
 //! memoized) on the seeded `Power` workload and writes machine-readable
-//! `BENCH_pr12.json` — the perf trajectory's record. The JSON header
+//! `BENCH_pr14.json` — the perf trajectory's record. The JSON header
 //! also carries the hardware-thread count and a snapshot of the
 //! process metrics registry (`kcenter-obs`) after the run.
 //!
 //! The block-kernel consumers (`gmm_select`'s chunked min-distance scan
-//! and the blocked `DistanceMatrix::build`) are measured **paired**:
-//! auto-dispatched SIMD versus the `set_force_scalar` escape hatch, with
-//! samples interleaved (ABBA), so the vectorization before/after comes
-//! from identical surrounding code on identical hardware. Two more GMM
-//! pairs isolate one optimization each on the same `PointRef` layout:
+//! and the blocked `DistanceMatrix::build`) are measured **paired**: the
+//! four-lane block kernel versus the `*_scalar_loop` rows, whose metric
+//! withholds the block methods so the trait's per-point loop runs
+//! instead, with samples interleaved (ABBA), so the kernel's before/after
+//! comes from identical surrounding code on identical hardware. Two more
+//! GMM pairs isolate one optimization each on the same `PointRef` layout:
 //! the sqrt-free proxy (`gmm_select_proxied` vs `gmm_select_sqrt_before`)
 //! and round-1 cluster pruning (`gmm_coreset_pruned` vs
-//! `gmm_coreset_unpruned`, on Power-like 7-d and Wiki-like 50-d). The JSON header
-//! records the auto-detected ISA the "auto" rows ran on. The executor
-//! rows are paired the same way: a persistent `WorkerFleet` reused
+//! `gmm_coreset_unpruned`, on Power-like 7-d and Wiki-like 50-d). The
+//! executor rows are paired the same way: a persistent `WorkerFleet` reused
 //! across samples versus a fresh fleet spawned per run (fleet-warmup
 //! amortization), and content-addressed store-served shards versus
 //! work-dir re-sharding; the header pins that every warm sample performed
@@ -54,8 +54,7 @@ use kcenter_core::gmm::gmm_select;
 use kcenter_core::outliers_cluster::{outliers_cluster, PointsOracle};
 use kcenter_core::radius_search::{find_min_feasible_radius, solve_coreset_cached, SearchMode};
 use kcenter_metric::{
-    kernels, CachedOracle, Coordinates, DistanceMatrix, Euclidean, Metric, Point, PointRef,
-    PointSet,
+    CachedOracle, Coordinates, DistanceMatrix, Euclidean, Metric, Point, PointRef, PointSet,
 };
 
 /// `Euclidean` with the proxy hooks forced back to their defaults: every
@@ -109,6 +108,46 @@ impl<P, M: Metric<P>> Metric<P> for Unpruned<M> {
     #[inline]
     fn cmp_distance_block(&self, query: &P, block: &[P], out: &mut [f64]) {
         self.0.cmp_distance_block(query, block, out)
+    }
+}
+
+/// A metric with the block kernel withheld: `cmp_distance_block` and
+/// `distance_to_block` keep the trait's per-point loop over the scalar
+/// methods. Everything else forwards, pruning bound included, so the pair
+/// isolates the block kernel.
+struct ScalarLoop<M>(M);
+
+impl<P, M: Metric<P>> Metric<P> for ScalarLoop<M> {
+    #[inline]
+    fn distance(&self, a: &P, b: &P) -> f64 {
+        self.0.distance(a, b)
+    }
+
+    #[inline]
+    fn cmp_distance(&self, a: &P, b: &P) -> f64 {
+        self.0.cmp_distance(a, b)
+    }
+
+    #[inline]
+    fn cmp_to_distance(&self, cmp: f64) -> f64 {
+        self.0.cmp_to_distance(cmp)
+    }
+
+    #[inline]
+    fn distance_to_cmp(&self, d: f64) -> f64 {
+        self.0.distance_to_cmp(d)
+    }
+
+    #[inline]
+    fn cmp_prune_bound(&self, cmp_ac: f64) -> Option<f64> {
+        self.0.cmp_prune_bound(cmp_ac)
+    }
+
+    fn cache_fingerprint(&self, points: &[P]) -> Option<u128>
+    where
+        P: Sized,
+    {
+        self.0.cache_fingerprint(points)
     }
 }
 
@@ -238,7 +277,7 @@ fn run_kernels(
     let (k, z, mu) = (20usize, 50usize, 8usize);
     let points = Dataset::Power.generate(n, FIXTURE_DATASET_SEED);
 
-    // The paired SIMD rows run over SoA views (`PointRef`s into one
+    // The paired kernel rows run over SoA views (`PointRef`s into one
     // contiguous `PointSet` block) — the layout the exec worker feeds the
     // kernels in production. Owned `Vec<Point>` rows would bury the vector
     // kernels' strided coordinate loads under per-point pointer chases.
@@ -246,9 +285,9 @@ fn run_kernels(
     let point_refs: Vec<PointRef<'_>> = soa.iter().collect();
 
     // Kernel 1: GMM farthest-first traversal, k = paper's Power k (100).
-    // The auto row uses the detected SIMD ISA for its chunked min-distance
-    // block scan; the force_scalar row pins the scalar reference kernels.
-    // The proxied row is the auto row again, paired with the forced-sqrt
+    // The plain row runs its chunked min-distance scan through the block
+    // kernel; the scalar_loop row runs the trait's per-point loop. The
+    // proxied row is the plain row again, paired with the forced-sqrt
     // "before" metric. All produce bit-identical centers — only the clock
     // differs.
     let gmm_k = Dataset::Power.paper_k();
@@ -261,15 +300,12 @@ fn run_kernels(
         n,
         gmm_ops,
         ("gmm_select", || {
-            kernels::set_force_scalar(false);
             gmm_select(&point_refs, &Euclidean, gmm_k, 0)
         }),
-        ("gmm_select_force_scalar", || {
-            kernels::set_force_scalar(true);
-            gmm_select(&point_refs, &Euclidean, gmm_k, 0)
+        ("gmm_select_scalar_loop", || {
+            gmm_select(&point_refs, &ScalarLoop(Euclidean), gmm_k, 0)
         }),
     );
-    kernels::set_force_scalar(false);
     record_pair(
         records,
         run,
@@ -316,45 +352,21 @@ fn run_kernels(
     let t = cpoints.len();
 
     // Kernel 2: condensed distance-matrix construction over the coreset —
-    // the blocked pairwise build, auto-dispatched vs forced-scalar.
+    // the blocked pairwise build, block kernel vs scalar loop.
     let coreset_soa = PointSet::from_points(&cpoints);
     let coreset_refs: Vec<PointRef<'_>> = coreset_soa.iter().collect();
-    let (m, m_scalar) = measure_paired(
-        warmup,
-        samples,
-        || {
-            kernels::set_force_scalar(false);
+    record_pair(
+        records,
+        run,
+        "Power",
+        t,
+        (t * t / 2) as u64,
+        ("distance_matrix_build", || {
             DistanceMatrix::build(&coreset_refs, &Euclidean)
-        },
-        || {
-            kernels::set_force_scalar(true);
-            DistanceMatrix::build(&coreset_refs, &Euclidean)
-        },
-    );
-    kernels::set_force_scalar(false);
-    records.push(Record {
-        kernel: "distance_matrix_build",
-        dataset: "Power",
-        n: t,
-        ops: (t * t / 2) as u64,
-        threads,
-        m,
-    });
-    eprintln!(
-        "  distance_matrix/|T|={t}     {:>12.2?} ±{:.2?}",
-        m.median, m.mad
-    );
-    records.push(Record {
-        kernel: "distance_matrix_build_force_scalar",
-        dataset: "Power",
-        n: t,
-        ops: (t * t / 2) as u64,
-        threads,
-        m: m_scalar,
-    });
-    eprintln!(
-        "  distance_matrix (scalar)    {:>12.2?} ±{:.2?}",
-        m_scalar.median, m_scalar.mad
+        }),
+        ("distance_matrix_build_scalar_loop", || {
+            DistanceMatrix::build(&coreset_refs, &ScalarLoop(Euclidean))
+        }),
     );
 
     let matrix = DistanceMatrix::build(&cpoints, &Euclidean);
@@ -743,7 +755,7 @@ fn main() {
         if smoke {
             "BENCH_smoke.json"
         } else {
-            "BENCH_pr12.json"
+            "BENCH_pr14.json"
         }
         .to_string()
     });
@@ -792,11 +804,6 @@ fn main() {
     json.push_str("{\n");
     let _ = writeln!(json, "  \"generated_by\": \"bench_runner (crates/bench)\",");
     let _ = writeln!(json, "  \"machine_threads\": {machine},");
-    let _ = writeln!(
-        json,
-        "  \"simd_isa\": \"{:?}\",",
-        kcenter_metric::kernels::active_isa()
-    );
     // The full metrics-registry snapshot: every counter/gauge/histogram
     // the run touched, under their stable dotted names.
     let _ = writeln!(json, "  \"obs_metrics\": {},", kcenter_obs::render_json());
@@ -817,7 +824,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"note\": \"median over {samples} samples after {warmup} warmup runs, MAD outlier rejection; threads=1 is the sequential reference (inline execution, no pool overhead); *_force_scalar rows pin the scalar kernels via set_force_scalar, paired ABBA against the auto rows; gmm_select_proxied/gmm_select_sqrt_before and gmm_coreset_pruned/gmm_coreset_unpruned are ABBA pairs over the same PointRef layout, isolating the sqrt-free proxy and round-1 cluster pruning; a multi-thread scaling row appears only when the machine has >1 hardware thread; exec_* rows are paired ABBA too — warm_fleet reuses one persistent WorkerFleet across samples vs a fresh fleet per run, shards_reused serves content-addressed store shards (exec_warm_shard_writes pins 0 writes per warm sample) vs work-dir re-sharding\","
+        "  \"note\": \"median over {samples} samples after {warmup} warmup runs, MAD outlier rejection; threads=1 is the sequential reference (inline execution, no pool overhead); *_scalar_loop rows withhold the block kernel (the trait's per-point loop runs instead), paired ABBA against the block-kernel rows; gmm_select_proxied/gmm_select_sqrt_before and gmm_coreset_pruned/gmm_coreset_unpruned are ABBA pairs over the same PointRef layout, isolating the sqrt-free proxy and round-1 cluster pruning; a multi-thread scaling row appears only when the machine has >1 hardware thread; exec_* rows are paired ABBA too — warm_fleet reuses one persistent WorkerFleet across samples vs a fresh fleet per run, shards_reused serves content-addressed store shards (exec_warm_shard_writes pins 0 writes per warm sample) vs work-dir re-sharding\","
     );
     json.push_str("  \"records\": [\n");
     let lines: Vec<String> = records.iter().map(json_record).collect();

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::radius_search::MIN_EPS_HAT;
+
 /// Invalid input to a clustering algorithm.
 #[derive(Clone, Debug, PartialEq)]
 pub enum InputError {
@@ -24,7 +26,8 @@ pub enum InputError {
         /// Dataset size.
         n: usize,
     },
-    /// A precision parameter was outside `(0, 1]`.
+    /// A precision parameter was outside `(0, 1]`, or a radius-search
+    /// precision `ε̂` was below [`MIN_EPS_HAT`].
     InvalidEpsilon {
         /// The offending value.
         value: f64,
@@ -52,7 +55,11 @@ impl fmt::Display for InputError {
                 write!(f, "k + z = {} must be smaller than |S| = {n}", k + z)
             }
             InputError::InvalidEpsilon { value } => {
-                write!(f, "precision parameter {value} must lie in (0, 1]")
+                write!(
+                    f,
+                    "precision parameter {value} must lie in (0, 1], and a radius-search ε̂ \
+                     in [{MIN_EPS_HAT:e}, 1]"
+                )
             }
             InputError::InvalidParallelism => write!(f, "parallelism must be positive"),
             InputError::CoresetTooSmall { tau, minimum } => {
@@ -92,6 +99,14 @@ pub(crate) fn check_eps(value: f64) -> Result<(), InputError> {
     Ok(())
 }
 
+/// Validates a radius-search precision `ε̂ ∈ [MIN_EPS_HAT, 1]`.
+pub(crate) fn check_eps_hat(value: f64) -> Result<(), InputError> {
+    if !(MIN_EPS_HAT..=1.0).contains(&value) {
+        return Err(InputError::InvalidEpsilon { value });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,6 +135,10 @@ mod tests {
         assert!(check_eps(f64::NAN).is_err());
         assert!(check_eps(1.0).is_ok());
         assert!(check_eps(0.01).is_ok());
+        assert!(check_eps_hat(1e-9).is_err());
+        assert!(check_eps_hat(f64::NAN).is_err());
+        assert!(check_eps_hat(MIN_EPS_HAT).is_ok());
+        assert!(check_eps_hat(1.0).is_ok());
     }
 
     #[test]

@@ -28,7 +28,7 @@ use kcenter_mapreduce::{Adversarial, Chunked, MemoryReport, Partitioner, RandomP
 use kcenter_metric::{CachedOracle, Metric};
 
 use crate::coreset::CoresetSpec;
-use crate::error::{check_eps, check_kz, InputError};
+use crate::error::{check_eps, check_eps_hat, check_kz, InputError};
 use crate::mr_backend::{mix, CoresetJob, InProcess, MrBackend, Round1Plan};
 use crate::radius_search::{default_matrix_threshold, solve_coreset_cached, SearchMode};
 use crate::solution::{radius_with_outliers, Clustering};
@@ -144,7 +144,7 @@ impl MrOutliersConfig {
         if self.ell == 0 {
             return Err(InputError::InvalidParallelism);
         }
-        check_eps(self.eps_hat)?;
+        check_eps_hat(self.eps_hat)?;
         if let CoresetSpec::EpsStop { eps } = self.coreset {
             check_eps(eps)?;
         }

@@ -58,18 +58,6 @@ pub trait DistanceOracle: Sync {
         }
     }
 
-    /// Batched ball-membership test: writes
-    /// `cmp_dist(t, base + j) <= cmp_threshold` into `out[j]`.
-    ///
-    /// Same contract as [`Metric::within_block`]: overrides may use a
-    /// cheaper first pass (the opt-in f32 proxy) but must decide every
-    /// point identically to the exact comparison.
-    fn within_block(&self, t: usize, base: usize, cmp_threshold: f64, out: &mut [bool]) {
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = self.cmp_dist(t, base + j) <= cmp_threshold;
-        }
-    }
-
     /// Maps a true radius onto the [`DistanceOracle::cmp_dist`] scale.
     #[inline]
     fn radius_to_cmp(&self, r: f64) -> f64 {
@@ -276,12 +264,6 @@ impl<P: Sync, M: Metric<P>> DistanceOracle for PointsOracle<'_, P, M> {
         self.metric.cmp_distance_block(&self.points[t], block, out);
     }
 
-    fn within_block(&self, t: usize, base: usize, cmp_threshold: f64, out: &mut [bool]) {
-        let block = &self.points[base..base + out.len()];
-        self.metric
-            .within_block(&self.points[t], block, cmp_threshold, out);
-    }
-
     #[inline]
     fn radius_to_cmp(&self, r: f64) -> f64 {
         self.metric.distance_to_cmp(r)
@@ -344,10 +326,10 @@ pub fn outliers_cluster<O: DistanceOracle>(
     let ball_chunk = rayon::adaptive_chunk_len(n);
 
     // Initial ball weights over all (uncovered) points: O(n²), chunked for
-    // the pool. Each ball's inner scan runs through the oracle's batched
-    // membership test in stack sub-blocks — the vectorized kernels for
-    // point-backed oracles — which decides every point identically to the
-    // scalar `cmp_dist(t, v) <= ball_cmp` it replaces, in the same order.
+    // the pool. Each ball's inner scan reads the oracle's batched proxies
+    // in stack sub-blocks — the block kernels for point-backed oracles,
+    // condensed-row copies for matrix-backed ones — and tests them against
+    // `ball_cmp`, bit-identical to the scalar `cmp_dist(t, v) <= ball_cmp`.
     const SUB: usize = 256;
     let mut ball_weight: Vec<u64> = vec![0; n];
     ball_weight
@@ -355,16 +337,16 @@ pub fn outliers_cluster<O: DistanceOracle>(
         .enumerate()
         .for_each(|(ci, chunk)| {
             let base = ci * ball_chunk;
-            let mut flags = [false; SUB];
+            let mut buf = [0.0f64; SUB];
             for (j, w) in chunk.iter_mut().enumerate() {
                 let t = base + j;
                 let mut acc = 0u64;
                 let mut off = 0;
                 while off < n {
                     let len = SUB.min(n - off);
-                    oracle.within_block(t, off, ball_cmp, &mut flags[..len]);
-                    for (&hit, &weight) in flags[..len].iter().zip(&weights[off..off + len]) {
-                        if hit {
+                    oracle.cmp_dist_block(t, off, &mut buf[..len]);
+                    for (&d, &weight) in buf[..len].iter().zip(&weights[off..off + len]) {
+                        if d <= ball_cmp {
                             acc += weight;
                         }
                     }

@@ -8,9 +8,11 @@
 //!
 //! * [`SearchMode::GeometricGrid`] — binary search over the geometric grid
 //!   `r_lo·(1+δ)^i` spanning the minimum positive pairwise distance to the
-//!   diameter. This is the default: it stores `O(1)` candidates, mirroring
-//!   the paper's use of space-bounded selection (they cite Munro–Paterson)
-//!   to avoid materializing all `O(|T|²)` distances.
+//!   diameter. This is the default: it computes each candidate when the
+//!   search probes it, so it stores `O(1)` candidates, mirroring the
+//!   paper's use of space-bounded selection (they cite Munro–Paterson) to
+//!   avoid materializing all `O(|T|²)` distances. It needs
+//!   `ε̂ ≥` [`MIN_EPS_HAT`].
 //! * [`SearchMode::ExactCandidates`] — binary search over the sorted
 //!   multiset of actual pairwise distances, the classical Charikar-style
 //!   search; quadratic memory, only sensible for small coresets, and the
@@ -28,6 +30,17 @@ use crate::coreset::WeightedCoreset;
 use crate::outliers_cluster::{
     outliers_cluster, CmpMatrixRef, DistanceOracle, OutliersClusterResult, PointsOracle,
 };
+
+/// Smallest `ε̂` the geometric grid accepts, and so the floor every entry
+/// point that feeds `ε̂` to the grid validates against.
+///
+/// The grid probes `r_lo·(1+δ)^i` with `δ = ε̂/(3+4ε̂)` and an `i32`
+/// exponent `i` below `ln(r_hi/r_lo)/ln(1+δ)`. Finite distances span at
+/// most about `e^1456` (`f64::MAX` over the smallest subnormal, times the
+/// factor 2 on `r_hi` and `3+4ε̂` on `r_lo`), so at `ε̂ ≥ 1e-5`
+/// (`δ ≥ 3.3·10⁻⁶`) every grid stays under `4.4·10⁸` steps, well inside
+/// `i32`. A much smaller `ε̂` can overflow the exponent.
+pub const MIN_EPS_HAT: f64 = 1e-5;
 
 /// Which candidate-radius structure the search walks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,13 +62,39 @@ pub struct RadiusSearchResult {
     pub evaluations: usize,
 }
 
+/// The increasing candidate radii the binary search walks.
+enum Candidates {
+    /// Sorted, deduplicated pairwise distances and their cover-scaled
+    /// counterparts.
+    Listed(Vec<f64>),
+    /// The geometric grid `r_lo·(1+δ)^i` for `i < len`, each radius
+    /// computed when the search probes it.
+    Grid { r_lo: f64, delta: f64, len: usize },
+}
+
+impl Candidates {
+    fn len(&self) -> usize {
+        match self {
+            Candidates::Listed(all) => all.len(),
+            Candidates::Grid { len, .. } => *len,
+        }
+    }
+
+    fn get(&self, i: usize) -> f64 {
+        match self {
+            Candidates::Listed(all) => all[i],
+            Candidates::Grid { r_lo, delta, .. } => r_lo * (1.0 + delta).powi(i as i32),
+        }
+    }
+}
+
 /// Finds the smallest radius (within tolerance) at which the coreset can be
 /// covered by `k` centers leaving at most `z_weight` uncovered.
 ///
 /// # Panics
 ///
-/// Panics if the coreset is empty, `k == 0`, or `eps_hat <= 0` with
-/// [`SearchMode::GeometricGrid`] (the grid step would be zero).
+/// Panics if the coreset is empty, `k == 0`, or `eps_hat` is below
+/// [`MIN_EPS_HAT`] (or `NaN`) with [`SearchMode::GeometricGrid`].
 pub fn find_min_feasible_radius<O: DistanceOracle>(
     oracle: &O,
     weights: &[u64],
@@ -97,7 +136,7 @@ pub fn find_min_feasible_radius<O: DistanceOracle>(
     // GMM-built coresets (points deliberately far apart) can exceed the
     // optimum by the full (3+4ε̂) factor.
     let cover_factor = 3.0 + 4.0 * eps_hat;
-    let candidates: Vec<f64> = match mode {
+    let candidates = match mode {
         SearchMode::ExactCandidates => {
             // Pairwise distances and their cover-scaled counterparts: the
             // minimal feasible radius has (3+4ε̂)·r or (1+2ε̂)·r at a
@@ -115,14 +154,18 @@ pub fn find_min_feasible_radius<O: DistanceOracle>(
                 .collect();
             all.sort_by(f64::total_cmp);
             all.dedup();
-            all
+            Candidates::Listed(all)
         }
         SearchMode::GeometricGrid => {
-            assert!(eps_hat > 0.0, "geometric grid needs eps_hat > 0");
+            assert!(
+                eps_hat >= MIN_EPS_HAT,
+                "geometric grid needs eps_hat >= {MIN_EPS_HAT:e}"
+            );
             let delta = eps_hat / (3.0 + 4.0 * eps_hat);
             let r_lo = min_positive_distance(oracle).map(|d| d / cover_factor);
             match r_lo {
-                None => Vec::new(), // all points identical; r = 0 handled above
+                // All points identical; r = 0 handled above.
+                None => Candidates::Listed(Vec::new()),
                 Some(r_lo) => {
                     // Upper bound: twice the max distance from point 0
                     // bounds the diameter (triangle inequality). The scan
@@ -135,15 +178,17 @@ pub fn find_min_feasible_radius<O: DistanceOracle>(
                                 .reduce(|| 0.0, f64::max),
                         );
                     let steps = ((r_hi / r_lo).ln() / (1.0 + delta).ln()).ceil() as usize + 1;
-                    (0..=steps)
-                        .map(|i| r_lo * (1.0 + delta).powi(i as i32))
-                        .collect()
+                    Candidates::Grid {
+                        r_lo,
+                        delta,
+                        len: steps + 1,
+                    }
                 }
             }
         }
     };
 
-    if candidates.is_empty() {
+    if candidates.len() == 0 {
         // Degenerate: no positive pairwise distance, yet r = 0 infeasible —
         // cover everything with one ball of any positive radius is also
         // impossible only if k < needed; fall back to r = 0 result.
@@ -160,12 +205,12 @@ pub fn find_min_feasible_radius<O: DistanceOracle>(
     let mut lo = 0usize; // infeasible or untested below
     let mut hi = candidates.len() - 1;
     let mut best: Option<(f64, OutliersClusterResult)>;
-    match feasible(candidates[hi]) {
-        Some(result) => best = Some((candidates[hi], result)),
+    match feasible(candidates.get(hi)) {
+        Some(result) => best = Some((candidates.get(hi), result)),
         None => {
             // Should not happen (diameter covers all), but stay defensive:
             // extend upward geometrically until feasible.
-            let mut r = candidates[hi] * 2.0;
+            let mut r = candidates.get(hi) * 2.0;
             loop {
                 if let Some(result) = feasible(r) {
                     return RadiusSearchResult {
@@ -182,8 +227,8 @@ pub fn find_min_feasible_radius<O: DistanceOracle>(
 
     // Binary search for the smallest feasible candidate; `hi` stays the
     // smallest *verified* feasible index.
-    if let Some(result) = feasible(candidates[lo]) {
-        let (r, res) = (candidates[lo], result);
+    if let Some(result) = feasible(candidates.get(lo)) {
+        let (r, res) = (candidates.get(lo), result);
         return RadiusSearchResult {
             radius: r,
             clustering: res,
@@ -192,10 +237,10 @@ pub fn find_min_feasible_radius<O: DistanceOracle>(
     }
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        match feasible(candidates[mid]) {
+        match feasible(candidates.get(mid)) {
             Some(result) => {
                 hi = mid;
-                best = Some((candidates[mid], result));
+                best = Some((candidates.get(mid), result));
             }
             None => lo = mid,
         }

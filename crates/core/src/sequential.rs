@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use kcenter_metric::Metric;
 
 use crate::coreset::{build_weighted_coreset, CoresetSpec};
-use crate::error::{check_eps, check_kz, InputError};
+use crate::error::{check_eps, check_eps_hat, check_kz, InputError};
 use crate::radius_search::{default_matrix_threshold, solve_coreset, SearchMode};
 use crate::solution::{radius_with_outliers, Clustering};
 
@@ -87,7 +87,7 @@ where
     M: Metric<P>,
 {
     check_kz(points.len(), config.k, config.z)?;
-    check_eps(config.eps_hat)?;
+    check_eps_hat(config.eps_hat)?;
     if let CoresetSpec::EpsStop { eps } = config.coreset {
         check_eps(eps)?;
     }

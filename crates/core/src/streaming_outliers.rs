@@ -14,7 +14,7 @@
 use kcenter_metric::Metric;
 use kcenter_stream::StreamingAlgorithm;
 
-use crate::radius_search::{default_matrix_threshold, solve_coreset, SearchMode};
+use crate::radius_search::{default_matrix_threshold, solve_coreset, SearchMode, MIN_EPS_HAT};
 use crate::streaming_coreset::WeightedDoublingCoreset;
 
 /// Output of the pass: centers plus coreset diagnostics.
@@ -50,11 +50,15 @@ impl<P: Clone + Sync, M: Metric<P>> CoresetOutliers<P, M> {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0`, `tau < k + z`, or `eps_hat` is outside `(0, 1]`.
+    /// Panics if `k == 0`, `tau < k + z`, or `eps_hat` is outside
+    /// `[MIN_EPS_HAT, 1]`.
     pub fn new(metric: M, k: usize, z: usize, tau: usize, eps_hat: f64) -> Self {
         assert!(k > 0, "k must be positive");
         assert!(tau >= k + z, "coreset budget below k + z");
-        assert!(eps_hat > 0.0 && eps_hat <= 1.0, "eps_hat must be in (0, 1]");
+        assert!(
+            (MIN_EPS_HAT..=1.0).contains(&eps_hat),
+            "eps_hat must be in [{MIN_EPS_HAT:e}, 1]"
+        );
         CoresetOutliers {
             inner: WeightedDoublingCoreset::new(metric, tau),
             k,

@@ -22,7 +22,9 @@ use kcenter_metric::{CachedOracle, Metric};
 use kcenter_stream::{run_stream, MultiPass, StreamingAlgorithm};
 
 use crate::error::{check_eps, check_kz, InputError};
-use crate::radius_search::{default_matrix_threshold, solve_coreset_cached, SearchMode};
+use crate::radius_search::{
+    default_matrix_threshold, solve_coreset_cached, SearchMode, MIN_EPS_HAT,
+};
 use crate::solution::{radius_with_outliers, Clustering};
 use crate::streaming_coreset::WeightedDoublingCoreset;
 
@@ -100,7 +102,8 @@ pub struct TwoPassResult<P> {
 ///
 /// # Errors
 ///
-/// Returns [`InputError`] for invalid `(n, k, z)` or `eps` outside `(0, 1]`.
+/// Returns [`InputError`] for invalid `(n, k, z)`, `eps` outside `(0, 1]`,
+/// or `eps / 6` below [`MIN_EPS_HAT`].
 pub fn two_pass_outliers<P, M>(
     points: &[P],
     metric: &M,
@@ -114,6 +117,10 @@ where
 {
     check_kz(points.len(), k, z)?;
     check_eps(eps)?;
+    // The finalization searches the grid at ε̂ = ε/6.
+    if eps / 6.0 < MIN_EPS_HAT {
+        return Err(InputError::InvalidEpsilon { value: eps });
+    }
 
     let mut passes = MultiPass::default();
 

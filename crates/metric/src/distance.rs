@@ -85,8 +85,7 @@ pub trait Metric<P: ?Sized>: Sync + Send {
     /// block[i])` into `out[i]` for every point of `block`.
     ///
     /// The default loops the scalar method; the coordinate metrics
-    /// override it with the runtime-dispatched SIMD kernels of
-    /// [`crate::kernels`]. Overrides must stay **bit-identical** to the
+    /// override it with the block kernels of [`crate::kernels`]. Overrides must stay **bit-identical** to the
     /// default — callers (GMM scans, matrix builds, ball-weight passes)
     /// rely on block and scalar paths being interchangeable at every
     /// thread count.
@@ -108,21 +107,6 @@ pub trait Metric<P: ?Sized>: Sync + Send {
     {
         for (o, b) in out.iter_mut().zip(block) {
             *o = self.distance(query, b);
-        }
-    }
-
-    /// Batched ball-membership test on the proxy scale: writes
-    /// `cmp_distance(query, block[i]) <= cmp_threshold` into `out[i]`.
-    ///
-    /// Overrides may evaluate a cheaper proxy first (the opt-in f32 mode)
-    /// but must make the **identical decision** the exact comparison
-    /// makes for every point — uncertain cases re-verified exactly.
-    fn within_block(&self, query: &P, block: &[P], cmp_threshold: f64, out: &mut [bool])
-    where
-        P: Sized,
-    {
-        for (o, b) in out.iter_mut().zip(block) {
-            *o = self.cmp_distance(query, b) <= cmp_threshold;
         }
     }
 
@@ -227,14 +211,6 @@ impl<P: ?Sized, M: Metric<P> + ?Sized> Metric<P> for &M {
     }
 
     #[inline]
-    fn within_block(&self, query: &P, block: &[P], cmp_threshold: f64, out: &mut [bool])
-    where
-        P: Sized,
-    {
-        (**self).within_block(query, block, cmp_threshold, out)
-    }
-
-    #[inline]
     fn cmp_prune_bound(&self, cmp_ac: f64) -> Option<f64> {
         (**self).cmp_prune_bound(cmp_ac)
     }
@@ -330,17 +306,6 @@ impl<P: Coordinates> Metric<P> for Euclidean {
         }
     }
 
-    #[inline]
-    fn within_block(&self, query: &P, block: &[P], cmp_threshold: f64, out: &mut [bool]) {
-        kernels::within_block(
-            KernelMetric::Euclidean,
-            query.coords(),
-            block,
-            cmp_threshold,
-            out,
-        );
-    }
-
     fn cache_fingerprint(&self, points: &[P]) -> Option<u128> {
         Some(fingerprint_points("euclidean", points))
     }
@@ -370,17 +335,6 @@ impl<P: Coordinates> Metric<P> for Manhattan {
     fn distance_to_block(&self, query: &P, block: &[P], out: &mut [f64]) {
         // cmp is the distance itself (identity proxy).
         kernels::cmp_block(KernelMetric::Manhattan, query.coords(), block, out);
-    }
-
-    #[inline]
-    fn within_block(&self, query: &P, block: &[P], cmp_threshold: f64, out: &mut [bool]) {
-        kernels::within_block(
-            KernelMetric::Manhattan,
-            query.coords(),
-            block,
-            cmp_threshold,
-            out,
-        );
     }
 
     #[inline]
@@ -416,17 +370,6 @@ impl<P: Coordinates> Metric<P> for Chebyshev {
     #[inline]
     fn distance_to_block(&self, query: &P, block: &[P], out: &mut [f64]) {
         kernels::cmp_block(KernelMetric::Chebyshev, query.coords(), block, out);
-    }
-
-    #[inline]
-    fn within_block(&self, query: &P, block: &[P], cmp_threshold: f64, out: &mut [bool]) {
-        kernels::within_block(
-            KernelMetric::Chebyshev,
-            query.coords(),
-            block,
-            cmp_threshold,
-            out,
-        );
     }
 
     #[inline]
@@ -471,7 +414,7 @@ impl<P: Coordinates> Metric<P> for CosineAngular {
 
     // The angle is its own comparison proxy (no monotone shortcut
     // survives the acos boundary cases), so both block entry points run
-    // the same dispatched kernel.
+    // the same kernel.
     #[inline]
     fn cmp_distance_block(&self, query: &P, block: &[P], out: &mut [f64]) {
         kernels::cosine_block(query.coords(), block, out);
@@ -480,19 +423,6 @@ impl<P: Coordinates> Metric<P> for CosineAngular {
     #[inline]
     fn distance_to_block(&self, query: &P, block: &[P], out: &mut [f64]) {
         kernels::cosine_block(query.coords(), block, out);
-    }
-
-    fn within_block(&self, query: &P, block: &[P], cmp_threshold: f64, out: &mut [bool]) {
-        // Same shape as the shared exact path: proxy values through the
-        // dispatched kernel, compared in place on stack sub-blocks.
-        let mut buf = [0.0f64; 64];
-        for (bchunk, ochunk) in block.chunks(64).zip(out.chunks_mut(64)) {
-            let k = bchunk.len();
-            kernels::cosine_block(query.coords(), bchunk, &mut buf[..k]);
-            for (o, &d) in ochunk.iter_mut().zip(&buf[..k]) {
-                *o = d <= cmp_threshold;
-            }
-        }
     }
 
     fn cache_fingerprint(&self, points: &[P]) -> Option<u128> {

@@ -1,45 +1,30 @@
-//! Runtime-dispatched block distance kernels over structure-of-arrays
-//! points.
+//! Block distance kernels over structure-of-arrays points.
 //!
-//! The batched entry points ([`cmp_block`], [`within_block`]) evaluate one
-//! query against a block of points. On `x86_64` they dispatch at runtime to
-//! SSE2 or AVX implementations (detected once per process); everywhere
-//! else, and under the `KCENTER_FORCE_SCALAR` escape hatch (or
-//! [`set_force_scalar`]), they run the scalar reference kernels.
+//! The batched entry points ([`cmp_block`], [`cosine_block`]) evaluate one
+//! query against a block of points, four points per iteration: one
+//! accumulator lane per point, in safe Rust that the compiler vectorizes
+//! for its baseline target. Remainder points (block length not a multiple
+//! of four) run the scalar reference kernels.
 //!
 //! # Bit-identity
 //!
-//! Every vector kernel is **lane-per-point**: lane `l` of the accumulator
-//! performs exactly the per-dimension sequential chain the scalar kernel
-//! performs for point `l` — broadcast `q[d]`, gather coordinate `d` of 2/4
-//! rows, subtract, square-or-abs, accumulate — in the same order, with the
-//! same IEEE-754 operations, and **no FMA** (fused rounding would change
-//! results). Element-wise vector sub/mul/add are bitwise-identical to their
-//! scalar counterparts, `abs` is a sign-bit clear in both forms, and the
-//! Chebyshev `max` only ever compares non-negative values with cleared sign
-//! bits (the finite-point invariant excludes `NaN`; `abs` excludes `-0.0`),
-//! the one regime where `maxpd` and `f64::max` agree bitwise. Remainder
-//! points (block length not a multiple of the vector width) run the scalar
-//! kernel. Consequently every path — scalar, SSE2, AVX — returns the same
-//! bits, which is what lets the golden figures and the exec determinism
-//! suite stay byte-identical whichever ISA the host has.
-//!
-//! # f32 proxy mode
-//!
-//! `KCENTER_F32_PROXY=1` (or [`set_f32_proxy`]) opts threshold scans
-//! ([`within_block`]) into a single-precision first pass: the proxy
-//! classifies each point against the radius with a rigorous error margin,
-//! and only points inside the uncertainty band are re-verified with the
-//! exact `f64` kernel. Decisions are therefore **identical** to the pure
-//! `f64` path by construction; only the arithmetic for clear-cut points is
-//! cheaper. Value-returning kernels ([`cmp_block`]) never use the proxy.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+//! Lane `l` performs exactly the per-dimension sequential chain the scalar
+//! kernel performs for point `l` — subtract, square-or-abs, accumulate — in
+//! the same order, with the same IEEE-754 operations, and **no FMA** (Rust
+//! never fuses a multiply and an add on its own; fused rounding would
+//! change results). Lanes start at `0.0` where the scalar sums start at
+//! `-0.0`; points have at least one coordinate, and adding a non-negative
+//! first term to either zero gives that term, so the chains agree from the
+//! first step on. The Chebyshev max is a compare-and-select that only ever
+//! sees finite, non-negative values (the finite-point invariant excludes
+//! `NaN`; `abs` excludes `-0.0`), the one regime where it picks what
+//! `f64::max` picks, bit for bit. Consequently the block kernels return the
+//! scalar kernels' bits, which is what lets the golden figures and the exec
+//! determinism suite stay byte-identical.
 
 use crate::pointset::Coordinates;
 
-/// The difference-chain metrics the shared vector kernels cover.
+/// The difference-chain metrics the shared block kernel covers.
 /// [`crate::CosineAngular`] needs three accumulators and an `acos`
 /// epilogue, so it has its own entry points ([`cosine_block`]) rather
 /// than a variant here.
@@ -53,88 +38,12 @@ pub enum KernelMetric {
     Chebyshev,
 }
 
-/// Instruction set a kernel call will execute with.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Isa {
-    /// Portable scalar reference kernels.
-    Scalar,
-    /// 2 points per iteration (`x86_64` baseline).
-    Sse2,
-    /// 4 points per iteration.
-    Avx,
-}
-
-/// `true`-ish environment flag: set and neither empty nor `"0"`.
-fn env_flag(name: &str) -> bool {
-    std::env::var_os(name).is_some_and(|v| !v.is_empty() && v != "0")
-}
-
-fn force_scalar_cell() -> &'static AtomicBool {
-    static CELL: OnceLock<AtomicBool> = OnceLock::new();
-    CELL.get_or_init(|| AtomicBool::new(env_flag("KCENTER_FORCE_SCALAR")))
-}
-
-/// Overrides the `KCENTER_FORCE_SCALAR` escape hatch programmatically —
-/// tests and benchmarks toggle this instead of racing on the process
-/// environment.
-pub fn set_force_scalar(on: bool) {
-    force_scalar_cell().store(on, Ordering::Relaxed);
-}
-
-/// Whether kernels are currently pinned to the scalar reference path.
-pub fn force_scalar() -> bool {
-    force_scalar_cell().load(Ordering::Relaxed)
-}
-
-fn f32_proxy_cell() -> &'static AtomicBool {
-    static CELL: OnceLock<AtomicBool> = OnceLock::new();
-    CELL.get_or_init(|| AtomicBool::new(env_flag("KCENTER_F32_PROXY")))
-}
-
-/// Overrides the `KCENTER_F32_PROXY` opt-in programmatically.
-pub fn set_f32_proxy(on: bool) {
-    f32_proxy_cell().store(on, Ordering::Relaxed);
-}
-
-/// Whether threshold scans run the f32 proxy first pass.
-pub fn f32_proxy() -> bool {
-    f32_proxy_cell().load(Ordering::Relaxed)
-}
-
-/// The best ISA this host supports, detected once per process.
-fn detected_isa() -> Isa {
-    static DETECTED: OnceLock<Isa> = OnceLock::new();
-    *DETECTED.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx") {
-                Isa::Avx
-            } else if std::arch::is_x86_feature_detected!("sse2") {
-                Isa::Sse2
-            } else {
-                Isa::Scalar
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            Isa::Scalar
-        }
-    })
-}
-
-/// The ISA the next kernel call will use (detection gated by the force-
-/// scalar escape hatch).
-pub fn active_isa() -> Isa {
-    if force_scalar() {
-        Isa::Scalar
-    } else {
-        detected_isa()
-    }
-}
+/// Points per block-kernel iteration; eight measured no faster overall.
+const LANES: usize = 4;
 
 /// Scalar comparison-proxy kernel for one pair — **the reference**: these
 /// are character-for-character the accumulation chains of the scalar
-/// `Metric` implementations, and the contract every vector kernel is held
+/// `Metric` implementations, and the contract the block kernel is held
 /// to bitwise.
 #[inline]
 pub fn scalar_cmp(kind: KernelMetric, q: &[f64], r: &[f64]) -> f64 {
@@ -158,8 +67,7 @@ pub fn scalar_cmp(kind: KernelMetric, q: &[f64], r: &[f64]) -> f64 {
 }
 
 /// Scalar reference implementation of [`cmp_block`], exported so parity
-/// tests can pin the dispatched kernels against it regardless of the
-/// force-scalar setting.
+/// tests can pin the block kernel against it.
 pub fn cmp_block_scalar<P: Coordinates>(
     kind: KernelMetric,
     query: &[f64],
@@ -176,57 +84,71 @@ pub fn cmp_block_scalar<P: Coordinates>(
 /// into `out` (`out[i] = cmp(query, block[i])`): the squared distance for
 /// [`KernelMetric::Euclidean`], the true distance for the L1/L∞ kernels.
 ///
-/// Bit-identical to calling the scalar kernel per point, on every ISA.
+/// Bit-identical to calling the scalar kernel per point.
 ///
 /// # Panics
 ///
 /// Panics if `out.len() != block.len()`.
 pub fn cmp_block<P: Coordinates>(kind: KernelMetric, query: &[f64], block: &[P], out: &mut [f64]) {
     assert_eq!(block.len(), out.len(), "output length mismatch");
-    match active_isa() {
-        Isa::Scalar => cmp_block_scalar(kind, query, block, out),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Sse2 => x86::cmp_block_sse2(kind, query, block, out),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx => x86::cmp_block_avx(kind, query, block, out),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => cmp_block_scalar(kind, query, block, out),
+    // One match per block: each arm inlines the lane loop with a constant
+    // kind, so no branch is left inside the per-dimension loop.
+    match kind {
+        KernelMetric::Euclidean => cmp_block_lanes(KernelMetric::Euclidean, query, block, out),
+        KernelMetric::Manhattan => cmp_block_lanes(KernelMetric::Manhattan, query, block, out),
+        KernelMetric::Chebyshev => cmp_block_lanes(KernelMetric::Chebyshev, query, block, out),
     }
 }
 
-/// Points within the radius-`cmp_threshold` ball around `query`:
-/// `out[i] = cmp(query, block[i]) <= cmp_threshold` (both sides on the
-/// metric's comparison-proxy scale).
-///
-/// Decisions are identical to computing the exact `f64` proxy and
-/// comparing — including under the opt-in f32 proxy mode, whose margin
-/// classification re-verifies every uncertain point with the exact kernel.
-///
-/// # Panics
-///
-/// Panics if `out.len() != block.len()`.
-pub fn within_block<P: Coordinates>(
+#[inline(always)]
+fn cmp_block_lanes<P: Coordinates>(
     kind: KernelMetric,
     query: &[f64],
     block: &[P],
-    cmp_threshold: f64,
-    out: &mut [bool],
+    out: &mut [f64],
 ) {
-    assert_eq!(block.len(), out.len(), "output length mismatch");
-    if f32_proxy() {
-        within_block_f32(kind, query, block, cmp_threshold, out);
-        return;
+    let mut groups = block.chunks_exact(LANES);
+    let mut outs = out.chunks_exact_mut(LANES);
+    for (g, o) in groups.by_ref().zip(outs.by_ref()) {
+        o.copy_from_slice(&cmp_lanes(kind, query, rows(query, g)));
     }
-    // Exact path: proxy values through the dispatched kernel, compared in
-    // place. Stack sub-blocks keep the distance buffer out of the heap.
-    let mut buf = [0.0f64; 64];
-    for (bchunk, ochunk) in block.chunks(64).zip(out.chunks_mut(64)) {
-        let k = bchunk.len();
-        cmp_block(kind, query, bchunk, &mut buf[..k]);
-        for (o, &d) in ochunk.iter_mut().zip(&buf[..k]) {
-            *o = d <= cmp_threshold;
+    for (o, p) in outs.into_remainder().iter_mut().zip(groups.remainder()) {
+        *o = scalar_cmp(kind, query, p.coords());
+    }
+}
+
+/// The coordinate rows of one group, each sliced to the query's length so
+/// the lane loops index them without bounds checks.
+#[inline(always)]
+fn rows<'a, P: Coordinates>(query: &[f64], group: &'a [P]) -> [&'a [f64]; LANES] {
+    std::array::from_fn(|l| &group[l].coords()[..query.len()])
+}
+
+/// [`scalar_cmp`]'s chain for four points at once, one lane per point.
+#[inline(always)]
+fn cmp_lanes(kind: KernelMetric, q: &[f64], r: [&[f64]; LANES]) -> [f64; LANES] {
+    let mut acc = [0.0f64; LANES];
+    for (d, &x) in q.iter().enumerate() {
+        for (a, row) in acc.iter_mut().zip(r) {
+            let diff = x - row[d];
+            *a = match kind {
+                KernelMetric::Euclidean => *a + diff * diff,
+                KernelMetric::Manhattan => *a + diff.abs(),
+                // `f64::max` keeps the lanes scalar; this select
+                // vectorizes and picks the same bits here (see the module
+                // doc).
+                KernelMetric::Chebyshev => {
+                    let m = diff.abs();
+                    if m > *a {
+                        m
+                    } else {
+                        *a
+                    }
+                }
+            };
         }
     }
+    acc
 }
 
 /// Scalar cosine-angular chain for one pair — **the reference**:
@@ -246,8 +168,8 @@ pub fn scalar_cosine(q: &[f64], r: &[f64]) -> f64 {
 }
 
 /// The zero-vector boundary + clamp + `acos` epilogue every cosine path
-/// funnels through — scalar per lane on every ISA, so the vector kernels
-/// only ever vectorize the bit-exact accumulation chains.
+/// funnels through, scalar per lane, so the block kernel only ever
+/// vectorizes the bit-exact accumulation chains.
 #[inline]
 fn cosine_finish(dot: f64, na: f64, nb: f64) -> f64 {
     if na == 0.0 && nb == 0.0 {
@@ -261,8 +183,7 @@ fn cosine_finish(dot: f64, na: f64, nb: f64) -> f64 {
 }
 
 /// Scalar reference implementation of [`cosine_block`], exported so parity
-/// tests can pin the dispatched kernels against it regardless of the
-/// force-scalar setting.
+/// tests can pin the block kernel against it.
 pub fn cosine_block_scalar<P: Coordinates>(query: &[f64], block: &[P], out: &mut [f64]) {
     assert_eq!(block.len(), out.len(), "output length mismatch");
     for (o, p) in out.iter_mut().zip(block) {
@@ -274,317 +195,42 @@ pub fn cosine_block_scalar<P: Coordinates>(query: &[f64], block: &[P], out: &mut
 /// into `out` (`out[i] = arccos(cos_sim(query, block[i]))`, with the
 /// zero-vector conventions of [`crate::CosineAngular`]).
 ///
-/// Bit-identity argument, lane-per-point as everywhere else: the three
+/// Bit-identity argument, lane-per-point as in [`cmp_block`]: the three
 /// accumulators are independent sequential sums, so interleaving does not
-/// affect any of them. Lane `l` of the vector `dot`/`nb` accumulators
-/// performs exactly the scalar per-dimension chain for point `l` —
-/// broadcast `q[d]`, gather coordinate `d`, multiply, add, **no FMA** —
-/// and the query's self-dot `na` depends on the query alone, so one
-/// scalar accumulation (the same op sequence the scalar kernel runs per
-/// point) serves every lane. The epilogue (`cosine_finish`) is scalar
-/// per lane on every ISA. Remainder points run the scalar kernel.
+/// affect any of them. Lane `l`'s `dot`/`nb` accumulators perform exactly
+/// the scalar per-dimension chain for point `l` — multiply, add, **no
+/// FMA** — and the query's self-dot `na` depends on the query alone, so
+/// one accumulation (the same op sequence the scalar kernel runs per
+/// point) serves every lane. The epilogue (`cosine_finish`) is scalar per
+/// lane. Remainder points run the scalar kernel.
 ///
 /// # Panics
 ///
 /// Panics if `out.len() != block.len()`.
 pub fn cosine_block<P: Coordinates>(query: &[f64], block: &[P], out: &mut [f64]) {
     assert_eq!(block.len(), out.len(), "output length mismatch");
-    match active_isa() {
-        Isa::Scalar => cosine_block_scalar(query, block, out),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Sse2 => x86::cosine_block_sse2(query, block, out),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx => x86::cosine_block_avx(query, block, out),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => cosine_block_scalar(query, block, out),
+    let mut na = 0.0;
+    for &x in query {
+        na += x * x;
     }
-}
-
-/// f32 proxy first pass for [`within_block`].
-///
-/// For each point the proxy value is computed in single precision and
-/// compared against `cmp_threshold ± margin`, where `margin` bounds the
-/// worst-case error of the f32 evaluation relative to the exact f64 value
-/// (standard forward error analysis with generous constants; `C` is the
-/// largest coordinate magnitude in the pair, `m` the dimension, `u` the
-/// f32 precision). Clear-cut points are decided by the proxy; points in
-/// the band are re-verified with the exact scalar kernel, so the final
-/// decision vector equals the exact path's bit for bit.
-fn within_block_f32<P: Coordinates>(
-    kind: KernelMetric,
-    query: &[f64],
-    block: &[P],
-    cmp_threshold: f64,
-    out: &mut [bool],
-) {
-    let m = query.len();
-    let q32: Vec<f32> = query.iter().map(|&x| x as f32).collect();
-    let qmax = query.iter().fold(0.0f64, |a, &x| a.max(x.abs()));
-    // 2^-23: one full f32 epsilon per rounding, double the unit roundoff —
-    // slack on top of already-conservative margin constants.
-    let u = f32::EPSILON as f64;
-    let md = m as f64;
-    for (o, p) in out.iter_mut().zip(block) {
-        let r = p.coords();
-        let mut rmax = 0.0f32;
-        let proxy32 = match kind {
-            KernelMetric::Euclidean => {
-                let mut acc = 0.0f32;
-                for (d, &x) in q32.iter().enumerate() {
-                    let y = r[d] as f32;
-                    rmax = rmax.max(y.abs());
-                    let diff = x - y;
-                    acc += diff * diff;
-                }
-                acc
+    let mut groups = block.chunks_exact(LANES);
+    let mut outs = out.chunks_exact_mut(LANES);
+    for (g, o) in groups.by_ref().zip(outs.by_ref()) {
+        let r = rows(query, g);
+        let (mut dot, mut nb) = ([0.0f64; LANES], [0.0f64; LANES]);
+        for (d, &x) in query.iter().enumerate() {
+            for l in 0..LANES {
+                let y = r[l][d];
+                dot[l] += x * y;
+                nb[l] += y * y;
             }
-            KernelMetric::Manhattan => {
-                let mut acc = 0.0f32;
-                for (d, &x) in q32.iter().enumerate() {
-                    let y = r[d] as f32;
-                    rmax = rmax.max(y.abs());
-                    acc += (x - y).abs();
-                }
-                acc
-            }
-            KernelMetric::Chebyshev => {
-                let mut acc = 0.0f32;
-                for (d, &x) in q32.iter().enumerate() {
-                    let y = r[d] as f32;
-                    rmax = rmax.max(y.abs());
-                    acc = acc.max((x - y).abs());
-                }
-                acc
-            }
-        };
-        // The f32 coordinate maxima under-estimate the f64 maxima by at
-        // most one rounding; the (1 + 1e-6) factor restores a sound bound.
-        let c = qmax.max(rmax as f64 * (1.0 + 1e-6));
-        let margin = match kind {
-            KernelMetric::Euclidean => 8.0 * c * c * u * (md * md + 8.0 * md + 8.0),
-            KernelMetric::Manhattan => 4.0 * c * u * (md * md + 4.0 * md + 4.0),
-            KernelMetric::Chebyshev => 16.0 * c * u,
-        };
-        let proxy = proxy32 as f64;
-        *o = if !proxy.is_finite() || !(margin.is_finite()) {
-            // Coordinates overflowed f32: the proxy says nothing.
-            scalar_cmp(kind, query, r) <= cmp_threshold
-        } else if proxy > cmp_threshold + margin {
-            false
-        } else if proxy < cmp_threshold - margin {
-            true
-        } else {
-            scalar_cmp(kind, query, r) <= cmp_threshold
-        };
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! SSE2 (2 lanes) and AVX (4 lanes) kernels. Each `#[target_feature]`
-    //! function is non-generic and takes concrete coordinate rows; the
-    //! safe dispatchers group the block and handle remainders with the
-    //! scalar kernel.
-
-    use core::arch::x86_64::*;
-
-    use super::{cosine_finish, scalar_cmp, scalar_cosine, KernelMetric};
-    use crate::pointset::Coordinates;
-
-    /// Four points per iteration.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX support; all rows must have `q.len()`
-    /// elements.
-    #[target_feature(enable = "avx")]
-    unsafe fn cmp4_avx(kind: KernelMetric, q: &[f64], r: [&[f64]; 4]) -> [f64; 4] {
-        let sign = _mm256_set1_pd(-0.0);
-        let mut acc = _mm256_setzero_pd();
-        for (d, &x) in q.iter().enumerate() {
-            let qv = _mm256_set1_pd(x);
-            let rv = _mm256_set_pd(r[3][d], r[2][d], r[1][d], r[0][d]);
-            let diff = _mm256_sub_pd(qv, rv);
-            acc = match kind {
-                KernelMetric::Euclidean => _mm256_add_pd(acc, _mm256_mul_pd(diff, diff)),
-                KernelMetric::Manhattan => _mm256_add_pd(acc, _mm256_andnot_pd(sign, diff)),
-                KernelMetric::Chebyshev => _mm256_max_pd(acc, _mm256_andnot_pd(sign, diff)),
-            };
         }
-        let mut res = [0.0f64; 4];
-        _mm256_storeu_pd(res.as_mut_ptr(), acc);
-        res
-    }
-
-    /// Two points per iteration.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified SSE2 support (always true on `x86_64`,
-    /// detection-checked anyway); all rows must have `q.len()` elements.
-    #[target_feature(enable = "sse2")]
-    unsafe fn cmp2_sse2(kind: KernelMetric, q: &[f64], r: [&[f64]; 2]) -> [f64; 2] {
-        let sign = _mm_set1_pd(-0.0);
-        let mut acc = _mm_setzero_pd();
-        for (d, &x) in q.iter().enumerate() {
-            let qv = _mm_set1_pd(x);
-            let rv = _mm_set_pd(r[1][d], r[0][d]);
-            let diff = _mm_sub_pd(qv, rv);
-            acc = match kind {
-                KernelMetric::Euclidean => _mm_add_pd(acc, _mm_mul_pd(diff, diff)),
-                KernelMetric::Manhattan => _mm_add_pd(acc, _mm_andnot_pd(sign, diff)),
-                KernelMetric::Chebyshev => _mm_max_pd(acc, _mm_andnot_pd(sign, diff)),
-            };
-        }
-        let mut res = [0.0f64; 2];
-        _mm_storeu_pd(res.as_mut_ptr(), acc);
-        res
-    }
-
-    /// Four points per iteration, cosine-angular chain: per-lane `dot`
-    /// and `nb` accumulators (multiply + add, no FMA), the query's
-    /// self-dot `na` pre-accumulated scalar by the dispatcher, epilogue
-    /// scalar per lane.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX support; all rows must have `q.len()`
-    /// elements.
-    #[target_feature(enable = "avx")]
-    unsafe fn cosine4_avx(q: &[f64], r: [&[f64]; 4], na: f64) -> [f64; 4] {
-        let mut dot = _mm256_setzero_pd();
-        let mut nb = _mm256_setzero_pd();
-        for (d, &x) in q.iter().enumerate() {
-            let qv = _mm256_set1_pd(x);
-            let rv = _mm256_set_pd(r[3][d], r[2][d], r[1][d], r[0][d]);
-            dot = _mm256_add_pd(dot, _mm256_mul_pd(qv, rv));
-            nb = _mm256_add_pd(nb, _mm256_mul_pd(rv, rv));
-        }
-        let mut dots = [0.0f64; 4];
-        let mut nbs = [0.0f64; 4];
-        _mm256_storeu_pd(dots.as_mut_ptr(), dot);
-        _mm256_storeu_pd(nbs.as_mut_ptr(), nb);
-        [
-            cosine_finish(dots[0], na, nbs[0]),
-            cosine_finish(dots[1], na, nbs[1]),
-            cosine_finish(dots[2], na, nbs[2]),
-            cosine_finish(dots[3], na, nbs[3]),
-        ]
-    }
-
-    /// Two points per iteration, cosine-angular chain.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified SSE2 support; all rows must have `q.len()`
-    /// elements.
-    #[target_feature(enable = "sse2")]
-    unsafe fn cosine2_sse2(q: &[f64], r: [&[f64]; 2], na: f64) -> [f64; 2] {
-        let mut dot = _mm_setzero_pd();
-        let mut nb = _mm_setzero_pd();
-        for (d, &x) in q.iter().enumerate() {
-            let qv = _mm_set1_pd(x);
-            let rv = _mm_set_pd(r[1][d], r[0][d]);
-            dot = _mm_add_pd(dot, _mm_mul_pd(qv, rv));
-            nb = _mm_add_pd(nb, _mm_mul_pd(rv, rv));
-        }
-        let mut dots = [0.0f64; 2];
-        let mut nbs = [0.0f64; 2];
-        _mm_storeu_pd(dots.as_mut_ptr(), dot);
-        _mm_storeu_pd(nbs.as_mut_ptr(), nb);
-        [
-            cosine_finish(dots[0], na, nbs[0]),
-            cosine_finish(dots[1], na, nbs[1]),
-        ]
-    }
-
-    /// The query's self-dot, accumulated in the exact op sequence the
-    /// scalar kernel uses (`na += x * x` per dimension) — computed once
-    /// and shared by every lane, since it depends on the query alone.
-    fn query_self_dot(q: &[f64]) -> f64 {
-        let mut na = 0.0;
-        for &x in q {
-            na += x * x;
-        }
-        na
-    }
-
-    pub(super) fn cosine_block_avx<P: Coordinates>(query: &[f64], block: &[P], out: &mut [f64]) {
-        let na = query_self_dot(query);
-        let mut groups = block.chunks_exact(4);
-        let mut outs = out.chunks_exact_mut(4);
-        for (g, o) in groups.by_ref().zip(outs.by_ref()) {
-            // SAFETY: dispatch verified AVX; `Coordinates` rows share the
-            // query's dimension per the point-set invariants.
-            let res = unsafe {
-                cosine4_avx(
-                    query,
-                    [g[0].coords(), g[1].coords(), g[2].coords(), g[3].coords()],
-                    na,
-                )
-            };
-            o.copy_from_slice(&res);
-        }
-        for (o, p) in outs.into_remainder().iter_mut().zip(groups.remainder()) {
-            *o = scalar_cosine(query, p.coords());
+        for (l, o) in o.iter_mut().enumerate() {
+            *o = cosine_finish(dot[l], na, nb[l]);
         }
     }
-
-    pub(super) fn cosine_block_sse2<P: Coordinates>(query: &[f64], block: &[P], out: &mut [f64]) {
-        let na = query_self_dot(query);
-        let mut groups = block.chunks_exact(2);
-        let mut outs = out.chunks_exact_mut(2);
-        for (g, o) in groups.by_ref().zip(outs.by_ref()) {
-            // SAFETY: SSE2 is baseline on x86_64 and detection-checked.
-            let res = unsafe { cosine2_sse2(query, [g[0].coords(), g[1].coords()], na) };
-            o.copy_from_slice(&res);
-        }
-        for (o, p) in outs.into_remainder().iter_mut().zip(groups.remainder()) {
-            *o = scalar_cosine(query, p.coords());
-        }
-    }
-
-    pub(super) fn cmp_block_avx<P: Coordinates>(
-        kind: KernelMetric,
-        query: &[f64],
-        block: &[P],
-        out: &mut [f64],
-    ) {
-        let mut groups = block.chunks_exact(4);
-        let mut outs = out.chunks_exact_mut(4);
-        for (g, o) in groups.by_ref().zip(outs.by_ref()) {
-            // SAFETY: dispatch verified AVX; `Coordinates` rows share the
-            // query's dimension per the point-set invariants.
-            let res = unsafe {
-                cmp4_avx(
-                    kind,
-                    query,
-                    [g[0].coords(), g[1].coords(), g[2].coords(), g[3].coords()],
-                )
-            };
-            o.copy_from_slice(&res);
-        }
-        for (o, p) in outs.into_remainder().iter_mut().zip(groups.remainder()) {
-            *o = scalar_cmp(kind, query, p.coords());
-        }
-    }
-
-    pub(super) fn cmp_block_sse2<P: Coordinates>(
-        kind: KernelMetric,
-        query: &[f64],
-        block: &[P],
-        out: &mut [f64],
-    ) {
-        let mut groups = block.chunks_exact(2);
-        let mut outs = out.chunks_exact_mut(2);
-        for (g, o) in groups.by_ref().zip(outs.by_ref()) {
-            // SAFETY: SSE2 is baseline on x86_64 and detection-checked.
-            let res = unsafe { cmp2_sse2(kind, query, [g[0].coords(), g[1].coords()]) };
-            o.copy_from_slice(&res);
-        }
-        for (o, p) in outs.into_remainder().iter_mut().zip(groups.remainder()) {
-            *o = scalar_cmp(kind, query, p.coords());
-        }
+    for (o, p) in outs.into_remainder().iter_mut().zip(groups.remainder()) {
+        *o = scalar_cosine(query, p.coords());
     }
 }
 
@@ -605,7 +251,7 @@ mod tests {
 
     #[test]
     fn dispatched_kernels_match_scalar_bitwise() {
-        // Odd block length exercises the remainder lanes on every ISA.
+        // Odd block length exercises the remainder lanes.
         let block = pts(&[
             &[1.0, 2.0, 3.0],
             &[-1.5, 0.25, 9.0],
@@ -629,8 +275,8 @@ mod tests {
 
     #[test]
     fn dispatched_cosine_kernel_matches_scalar_bitwise() {
-        // Odd block length exercises the remainder lanes on every ISA;
-        // zero rows exercise the per-lane boundary epilogue.
+        // Odd block length exercises the remainder lanes; zero rows
+        // exercise the per-lane boundary epilogue.
         let block = pts(&[
             &[1.0, 2.0, 3.0],
             &[0.0, 0.0, 0.0],
@@ -648,95 +294,6 @@ mod tests {
             for (i, (a, s)) in auto.iter().zip(&scalar).enumerate() {
                 assert_eq!(a.to_bits(), s.to_bits(), "point {i} query {query:?}");
             }
-        }
-    }
-
-    #[test]
-    fn force_scalar_pins_the_isa() {
-        let was = force_scalar();
-        set_force_scalar(true);
-        assert_eq!(active_isa(), Isa::Scalar);
-        set_force_scalar(was);
-        // Detection is stable within a process.
-        assert_eq!(active_isa(), active_isa());
-    }
-
-    #[test]
-    fn within_block_matches_exact_compare() {
-        let block = pts(&[
-            &[0.0, 0.0],
-            &[3.0, 4.0],
-            &[1.0, 1.0],
-            &[5.0, 12.0],
-            &[3.0, 4.0],
-        ]);
-        let query = [0.0, 0.0];
-        for kind in KINDS {
-            let mut cmps = vec![0.0; block.len()];
-            cmp_block_scalar(kind, &query, &block, &mut cmps);
-            // Thresholds at, below, and above exact values.
-            for &t in &[
-                cmps[1],
-                cmps[1] * 0.999,
-                cmps[1] * 1.001,
-                0.0,
-                f64::INFINITY,
-            ] {
-                let mut flags = vec![false; block.len()];
-                within_block(kind, &query, &block, t, &mut flags);
-                for (f, &c) in flags.iter().zip(&cmps) {
-                    assert_eq!(*f, c <= t, "{kind:?} t={t}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn f32_proxy_decisions_are_identical() {
-        let block = pts(&[
-            &[0.1, 0.2, 0.30000000000000004],
-            &[1e8, -1e8, 5e7],
-            &[1e-40, -1e-40, 0.0], // subnormal in f32
-            &[0.1, 0.2, 0.3],
-            &[123.456, -654.321, 0.001],
-        ]);
-        let query = [0.1, 0.2, 0.3];
-        let mut cmps = vec![0.0; block.len()];
-        for kind in KINDS {
-            cmp_block_scalar(kind, &query, &block, &mut cmps);
-            let mut thresholds: Vec<f64> = cmps.clone();
-            thresholds.extend(cmps.iter().map(|c| c * (1.0 + 1e-12)));
-            thresholds.extend(cmps.iter().map(|c| c * (1.0 - 1e-12)));
-            thresholds.push(0.0);
-            for &t in &thresholds {
-                let mut exact = vec![false; block.len()];
-                within_block(kind, &query, &block, t, &mut exact);
-                set_f32_proxy(true);
-                let mut proxied = vec![false; block.len()];
-                within_block(kind, &query, &block, t, &mut proxied);
-                set_f32_proxy(false);
-                assert_eq!(exact, proxied, "{kind:?} t={t}");
-            }
-        }
-    }
-
-    #[test]
-    fn f32_proxy_survives_f32_overflow() {
-        // 1e300 overflows to inf in f32: the proxy must fall back to the
-        // exact kernel rather than mis-classify.
-        let block = pts(&[&[1e300], &[-1e300], &[0.0]]);
-        let query = [1e300];
-        for kind in KINDS {
-            let mut cmps = vec![0.0; block.len()];
-            cmp_block_scalar(kind, &query, &block, &mut cmps);
-            let t = cmps[2];
-            let mut exact = vec![false; block.len()];
-            within_block(kind, &query, &block, t, &mut exact);
-            set_f32_proxy(true);
-            let mut proxied = vec![false; block.len()];
-            within_block(kind, &query, &block, t, &mut proxied);
-            set_f32_proxy(false);
-            assert_eq!(exact, proxied, "{kind:?}");
         }
     }
 

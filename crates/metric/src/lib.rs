@@ -7,8 +7,8 @@
 //! * [`Point`] — a validated, fixed-dimension point with `f64` coordinates;
 //! * [`PointSet`] / [`PointRef`] / [`Coordinates`] — structure-of-arrays
 //!   point storage (one contiguous coordinate block, zero-copy viewable
-//!   from a mmap'd shard) feeding the runtime-dispatched SIMD block
-//!   distance kernels in [`kernels`];
+//!   from a mmap'd shard) feeding the four-lane block distance kernels in
+//!   [`kernels`];
 //! * the [`Metric`] trait and concrete metrics ([`Euclidean`], [`Manhattan`],
 //!   [`Chebyshev`], [`CosineAngular`], and the test-oriented [`Precomputed`]
 //!   matrix metric);

@@ -6,7 +6,9 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use kcenter_core::radius_search::CoresetSolution;
-use kcenter_core::radius_search::{default_matrix_threshold, solve_coreset, SearchMode};
+use kcenter_core::radius_search::{
+    default_matrix_threshold, solve_coreset, SearchMode, MIN_EPS_HAT,
+};
 use kcenter_core::streaming_coreset::CoresetSnapshot;
 use kcenter_core::{WeightedDoublingCoreset, WeightedPoint};
 use kcenter_metric::{Fingerprint, Metric, Point};
@@ -507,10 +509,10 @@ impl<M: Metric<Point> + Clone + Sync> SessionRegistry<M> {
         if k == 0 {
             return Err(ServeError::BadRequest("k must be positive".into()));
         }
-        if eps_hat <= 0.0 || !eps_hat.is_finite() {
-            return Err(ServeError::BadRequest(
-                "eps must be positive and finite".into(),
-            ));
+        if !(eps_hat >= MIN_EPS_HAT && eps_hat.is_finite()) {
+            return Err(ServeError::BadRequest(format!(
+                "eps must be finite and at least {MIN_EPS_HAT:e}"
+            )));
         }
         let mut inner = self.inner.lock();
         if self

@@ -166,6 +166,28 @@ fn registry_guards_its_contracts() {
 }
 
 #[test]
+fn queries_below_the_eps_floor_are_rejected_and_the_session_keeps_serving() {
+    // Below the floor the radius search's geometric grid can outgrow its
+    // `i32` exponent; such queries must be refused, not answered.
+    let registry = SessionRegistry::new(Euclidean, config(16, None), None).unwrap();
+    registry.ingest("t", "s", session_points(5, 200)).unwrap();
+    for eps in [1e-9, 1e-300, 0.0, -1.0, f64::INFINITY, f64::NAN] {
+        assert!(
+            matches!(
+                registry.query("t", "s", 2, 0, eps).unwrap_err(),
+                ServeError::BadRequest(_)
+            ),
+            "eps {eps}"
+        );
+    }
+    // k = 2 and z = 0 leave r = 0 infeasible, so both go through the grid.
+    for eps in [0.25, 1e-5] {
+        let answer = registry.query("t", "s", 2, 0, eps).unwrap();
+        assert!(answer.radius > 0.0, "eps {eps}");
+    }
+}
+
+#[test]
 fn query_answers_are_memoized_per_stream_position() {
     let registry = SessionRegistry::new(Euclidean, config(8, None), None).unwrap();
     registry.ingest("t", "s", session_points(3, 100)).unwrap();
