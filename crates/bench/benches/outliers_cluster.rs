@@ -7,7 +7,7 @@ use std::hint::black_box;
 
 use kcenter_bench::Dataset;
 use kcenter_core::coreset::{build_weighted_coreset, CoresetSpec};
-use kcenter_core::outliers_cluster::{outliers_cluster, outliers_cluster_naive};
+use kcenter_core::outliers_cluster::{outliers_cluster, outliers_cluster_naive, CmpMatrixRef};
 use kcenter_metric::{DistanceMatrix, Euclidean, Point};
 
 fn coreset_fixture(size_mu: usize) -> (Vec<Point>, Vec<u64>) {
@@ -26,7 +26,8 @@ fn bench_incremental_vs_naive(c: &mut Criterion) {
     let mut group = c.benchmark_group("outliers_cluster");
     group.sample_size(10);
     let (points, weights) = coreset_fixture(8); // |T| = 560
-    let matrix = DistanceMatrix::build(&points, &Euclidean);
+    let cmp = DistanceMatrix::build_cmp(&points, &Euclidean);
+    let matrix = CmpMatrixRef::<Point, _>::new(&cmp, &Euclidean);
     let (k, r, eps) = (20usize, 5.0f64, 0.25f64);
 
     group.bench_function(BenchmarkId::new("incremental", points.len()), |b| {
@@ -43,7 +44,8 @@ fn bench_matrix_vs_points_oracle(c: &mut Criterion) {
     let mut group = c.benchmark_group("distance_oracle");
     group.sample_size(10);
     let (points, weights) = coreset_fixture(8);
-    let matrix = DistanceMatrix::build(&points, &Euclidean);
+    let cmp = DistanceMatrix::build_cmp(&points, &Euclidean);
+    let matrix = CmpMatrixRef::<Point, _>::new(&cmp, &Euclidean);
     let oracle = PointsOracle::new(&points, &Euclidean);
     let (k, r, eps) = (20usize, 5.0f64, 0.25f64);
 

@@ -6,9 +6,10 @@ use std::hint::black_box;
 
 use kcenter_bench::Dataset;
 use kcenter_core::coreset::{build_weighted_coreset, CoresetSpec};
+use kcenter_core::outliers_cluster::CmpMatrixRef;
 use kcenter_core::radius_search::{find_min_feasible_radius, SearchMode};
 use kcenter_data::inject_outliers;
-use kcenter_metric::{DistanceMatrix, Euclidean};
+use kcenter_metric::{DistanceMatrix, Euclidean, Point};
 
 fn bench_search_modes(c: &mut Criterion) {
     let mut group = c.benchmark_group("radius_search");
@@ -26,7 +27,8 @@ fn bench_search_modes(c: &mut Criterion) {
         );
         let cpoints = build.coreset.points_only();
         let weights = build.coreset.weights();
-        let matrix = DistanceMatrix::build(&cpoints, &Euclidean);
+        let cmp = DistanceMatrix::build_cmp(&cpoints, &Euclidean);
+        let matrix = CmpMatrixRef::<Point, _>::new(&cmp, &Euclidean);
         group.bench_with_input(
             BenchmarkId::new("geometric_grid", cpoints.len()),
             &(),

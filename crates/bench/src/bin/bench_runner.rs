@@ -4,12 +4,18 @@
 //! store-served vs re-written shards) and the serve-layer session
 //! registry (batched ingest throughput, query latency solver-path vs
 //! memoized) on the seeded `Power` workload and writes machine-readable
-//! `BENCH_pr14.json` — the perf trajectory's record. The JSON header
+//! `BENCH_pr15.json` — the perf trajectory's record. The JSON header
 //! also carries the hardware-thread count and a snapshot of the
 //! process metrics registry (`kcenter-obs`) after the run.
 //!
+//! The matrix rows run on the production path: `distance_matrix_build`
+//! prices the coreset into the proxy-scale `DistanceMatrix::build_cmp`
+//! matrix that `CachedOracle` caches, and `outliers_cluster` and
+//! `radius_search_grid` read that matrix through `CmpMatrixRef`, the
+//! oracle `solve_coreset_cached` runs below the cache threshold.
+//!
 //! The block-kernel consumers (`gmm_select`'s chunked min-distance scan
-//! and the blocked `DistanceMatrix::build`) are measured **paired**: the
+//! and the blocked `DistanceMatrix::build_cmp`) are measured **paired**: the
 //! four-lane block kernel versus the `*_scalar_loop` rows, whose metric
 //! withholds the block methods so the trait's per-point loop runs
 //! instead, with samples interleaved (ABBA), so the kernel's before/after
@@ -34,9 +40,8 @@
 //! With `KCENTER_CACHE_DIR` set, the shared coreset fixture is persisted
 //! under a fingerprint of its generation spec (dataset, n, seed, base, µ)
 //! and re-loaded by later runs, so repeated benchmarking sessions skip the
-//! GMM construction entirely; the matrix-backed kernels likewise reuse
-//! persisted proxy matrices where the kernel under test is not the build
-//! itself.
+//! GMM construction entirely. Distance matrices are always priced in
+//! process, never loaded.
 //!
 //! Usage: `bench_runner [--out PATH] [--samples N] [--warmup N] [--n N] [--smoke]`
 //!
@@ -51,7 +56,7 @@ use criterion::{measure, measure_paired, Measurement};
 use kcenter_bench::Dataset;
 use kcenter_core::coreset::{build_weighted_coreset, CoresetSpec};
 use kcenter_core::gmm::gmm_select;
-use kcenter_core::outliers_cluster::{outliers_cluster, PointsOracle};
+use kcenter_core::outliers_cluster::{outliers_cluster, CmpMatrixRef, PointsOracle};
 use kcenter_core::radius_search::{find_min_feasible_radius, solve_coreset_cached, SearchMode};
 use kcenter_metric::{
     CachedOracle, Coordinates, DistanceMatrix, Euclidean, Metric, Point, PointRef, PointSet,
@@ -111,10 +116,10 @@ impl<P, M: Metric<P>> Metric<P> for Unpruned<M> {
     }
 }
 
-/// A metric with the block kernel withheld: `cmp_distance_block` and
-/// `distance_to_block` keep the trait's per-point loop over the scalar
-/// methods. Everything else forwards, pruning bound included, so the pair
-/// isolates the block kernel.
+/// A metric with the block kernel withheld: `cmp_distance_block` keeps
+/// the trait's per-point loop over the scalar method. Everything else
+/// forwards, pruning bound included, so the pair isolates the block
+/// kernel.
 struct ScalarLoop<M>(M);
 
 impl<P, M: Metric<P>> Metric<P> for ScalarLoop<M> {
@@ -164,6 +169,36 @@ struct Record {
     m: Measurement,
 }
 
+/// Prints a row's median and MAD and appends it.
+fn push_record(records: &mut Vec<Record>, record: Record) {
+    let m = &record.m;
+    eprintln!("  {:<42} {:>12.2?} ±{:.2?}", record.kernel, m.median, m.mad);
+    records.push(record);
+}
+
+/// Measures one arm on its own and records its row.
+fn record_one<R>(
+    records: &mut Vec<Record>,
+    (warmup, samples, threads): (usize, usize, usize),
+    dataset: &'static str,
+    n: usize,
+    ops: u64,
+    (kernel, run): (&'static str, impl FnMut() -> R),
+) {
+    let m = measure(warmup, samples, run);
+    push_record(
+        records,
+        Record {
+            kernel,
+            dataset,
+            n,
+            ops,
+            threads,
+            m,
+        },
+    );
+}
+
 /// Measures two arms paired (ABBA) and records both rows.
 fn record_pair<RA, RB>(
     records: &mut Vec<Record>,
@@ -176,15 +211,17 @@ fn record_pair<RA, RB>(
 ) {
     let (m_a, m_b) = measure_paired(warmup, samples, a, b);
     for (kernel, m) in [(kernel_a, m_a), (kernel_b, m_b)] {
-        eprintln!("  {kernel:<34} {:>12.2?} ±{:.2?}", m.median, m.mad);
-        records.push(Record {
-            kernel,
-            dataset,
-            n,
-            ops,
-            threads,
-            m,
-        });
+        push_record(
+            records,
+            Record {
+                kernel,
+                dataset,
+                n,
+                ops,
+                threads,
+                m,
+            },
+        );
     }
 }
 
@@ -351,102 +388,86 @@ fn run_kernels(
     let (cpoints, weights) = coreset_fixture(&points, n, k + z, mu, store);
     let t = cpoints.len();
 
-    // Kernel 2: condensed distance-matrix construction over the coreset —
-    // the blocked pairwise build, block kernel vs scalar loop.
+    // Kernel 2: proxy-scale distance-matrix construction over the
+    // coreset — the blocked pairwise build `CachedOracle` runs, block
+    // kernel vs scalar loop.
     let coreset_soa = PointSet::from_points(&cpoints);
     let coreset_refs: Vec<PointRef<'_>> = coreset_soa.iter().collect();
+    let tt = (t * t) as u64;
     record_pair(
         records,
         run,
         "Power",
         t,
-        (t * t / 2) as u64,
+        tt / 2,
         ("distance_matrix_build", || {
-            DistanceMatrix::build(&coreset_refs, &Euclidean)
+            DistanceMatrix::build_cmp(&coreset_refs, &Euclidean)
         }),
         ("distance_matrix_build_scalar_loop", || {
-            DistanceMatrix::build(&coreset_refs, &ScalarLoop(Euclidean))
+            DistanceMatrix::build_cmp(&coreset_refs, &ScalarLoop(Euclidean))
         }),
     );
 
-    let matrix = DistanceMatrix::build(&cpoints, &Euclidean);
+    // The matrix-backed kernels read the proxy matrix through the oracle
+    // `solve_coreset_cached` uses below the cache threshold.
+    let cmp = DistanceMatrix::build_cmp(&cpoints, &Euclidean);
+    let matrix = CmpMatrixRef::<Point, _>::new(&cmp, &Euclidean);
 
     // Kernel 3: one OutliersCluster run (incremental ball weights).
     let (r_guess, eps) = (5.0f64, 0.25f64);
-    let m = measure(warmup, samples, || {
-        outliers_cluster(&matrix, &weights, k, r_guess, eps)
-    });
-    records.push(Record {
-        kernel: "outliers_cluster",
-        dataset: "Power",
-        n: t,
-        ops: (t * t) as u64,
-        threads,
-        m,
-    });
-    eprintln!(
-        "  outliers_cluster/|T|={t}    {:>12.2?} ±{:.2?}",
-        m.median, m.mad
+    record_one(
+        records,
+        run,
+        "Power",
+        t,
+        tt,
+        ("outliers_cluster", || {
+            outliers_cluster(&matrix, &weights, k, r_guess, eps)
+        }),
     );
 
     // Kernel 3b: the same run through a metric-backed oracle, proxied vs
     // forced-sqrt — the sqrt-free before/after on the O(|T|²) scans.
     let proxied = PointsOracle::new(&cpoints, &Euclidean);
-    let m = measure(warmup, samples, || {
-        outliers_cluster(&proxied, &weights, k, r_guess, eps)
-    });
-    records.push(Record {
-        kernel: "outliers_cluster_points_oracle",
-        dataset: "Power",
-        n: t,
-        ops: (t * t) as u64,
-        threads,
-        m,
-    });
-    eprintln!(
-        "  outliers_cluster (oracle)   {:>12.2?} ±{:.2?}",
-        m.median, m.mad
+    record_one(
+        records,
+        run,
+        "Power",
+        t,
+        tt,
+        ("outliers_cluster_points_oracle", || {
+            outliers_cluster(&proxied, &weights, k, r_guess, eps)
+        }),
     );
-
     let sqrt_oracle = PointsOracle::new(&cpoints, &SqrtEuclidean);
-    let m = measure(warmup, samples, || {
-        outliers_cluster(&sqrt_oracle, &weights, k, r_guess, eps)
-    });
-    records.push(Record {
-        kernel: "outliers_cluster_points_oracle_sqrt_before",
-        dataset: "Power",
-        n: t,
-        ops: (t * t) as u64,
-        threads,
-        m,
-    });
-    eprintln!(
-        "  outliers_cluster (sqrt)     {:>12.2?} ±{:.2?}",
-        m.median, m.mad
+    record_one(
+        records,
+        run,
+        "Power",
+        t,
+        tt,
+        ("outliers_cluster_points_oracle_sqrt_before", || {
+            outliers_cluster(&sqrt_oracle, &weights, k, r_guess, eps)
+        }),
     );
 
     // Kernel 4: the full geometric-grid radius search.
-    let m = measure(warmup, samples, || {
-        find_min_feasible_radius(
-            &matrix,
-            &weights,
-            k,
-            z as u64,
-            eps,
-            SearchMode::GeometricGrid,
-        )
-    });
-    records.push(Record {
-        kernel: "radius_search_grid",
-        dataset: "Power",
-        n: t,
-        ops: (t * t) as u64,
-        threads,
-        m,
-    });
-    eprintln!(
-        "  radius_search/|T|={t}       {:>12.2?} ±{:.2?}",
-        m.median, m.mad
+    record_one(
+        records,
+        run,
+        "Power",
+        t,
+        tt,
+        ("radius_search_grid", || {
+            find_min_feasible_radius(
+                &matrix,
+                &weights,
+                k,
+                z as u64,
+                eps,
+                SearchMode::GeometricGrid,
+            )
+        }),
     );
 
     // Kernel 5: the fig4-style sweep shape — repeated radius searches over
@@ -458,59 +479,31 @@ fn run_kernels(
     // medians of what is a ~5%-of-runtime difference.
     let shared = CachedOracle::new(cpoints.clone(), &Euclidean, usize::MAX);
     let _ = shared.matrix(); // warm: sweeps pay the build once, not per search
-    let (m_cached, m_rebuilt) = measure_paired(
-        warmup,
-        samples,
-        || {
-            solve_coreset_cached(
-                &shared,
-                &weights,
-                k,
-                z as u64,
-                eps,
-                SearchMode::GeometricGrid,
-            )
-        },
-        || {
-            let fresh = CachedOracle::new(cpoints.clone(), &Euclidean, usize::MAX);
-            solve_coreset_cached(
-                &fresh,
-                &weights,
-                k,
-                z as u64,
-                eps,
-                SearchMode::GeometricGrid,
-            )
-        },
-    );
-    records.push(Record {
-        kernel: "radius_search_cached_oracle",
-        dataset: "Power",
-        n: t,
-        ops: (t * t) as u64,
-        threads,
-        m: m_cached,
-    });
-    eprintln!(
-        "  radius_search (cached)      {:>12.2?} ±{:.2?}",
-        m_cached.median, m_cached.mad
+    let solve = |oracle: &CachedOracle<'_, Point, Euclidean>| {
+        solve_coreset_cached(
+            oracle,
+            &weights,
+            k,
+            z as u64,
+            eps,
+            SearchMode::GeometricGrid,
+        )
+    };
+    record_pair(
+        records,
+        run,
+        "Power",
+        t,
+        tt,
+        ("radius_search_cached_oracle", || solve(&shared)),
+        ("radius_search_rebuilt_matrix", || {
+            solve(&CachedOracle::new(cpoints.clone(), &Euclidean, usize::MAX))
+        }),
     );
     assert_eq!(
         shared.build_count() + shared.load_count(),
         1,
         "cached sweep must price its matrix exactly once (built or loaded)"
-    );
-    records.push(Record {
-        kernel: "radius_search_rebuilt_matrix",
-        dataset: "Power",
-        n: t,
-        ops: (t * t) as u64,
-        threads,
-        m: m_rebuilt,
-    });
-    eprintln!(
-        "  radius_search (rebuilt)     {:>12.2?} ±{:.2?}",
-        m_rebuilt.median, m_rebuilt.mad
     );
 }
 
@@ -547,35 +540,27 @@ fn run_exec_rows(warmup: usize, samples: usize, records: &mut Vec<Record>) -> Ex
     // Fleet warm-up amortization: the warm arm schedules every sample
     // onto one persistent fleet (0 spawns after the first run); the cold
     // arm spawns and shuts a fresh fleet down per run.
+    let run = (warmup, samples, 1);
     let mut fleet = WorkerFleet::from_config(&exec);
     let mut warm_workers_spawned = usize::MAX;
-    let (m_warm, m_cold) = criterion::measure_paired(
-        warmup,
-        samples,
-        || {
-            let run =
+    record_pair(
+        records,
+        run,
+        "Power",
+        n,
+        ell as u64,
+        ("exec_mr_kcenter_warm_fleet", || {
+            let job =
                 exec_mr_kcenter_on(&mut fleet, &points, MetricKind::Euclidean, &config, &exec)
                     .expect("warm fleet run");
-            warm_workers_spawned = warm_workers_spawned.min(run.report.workers_spawned);
-            run
-        },
-        || exec_mr_kcenter(&points, MetricKind::Euclidean, &config, &exec).expect("cold fleet run"),
+            warm_workers_spawned = warm_workers_spawned.min(job.report.workers_spawned);
+            job
+        }),
+        ("exec_mr_kcenter_cold_fleet", || {
+            exec_mr_kcenter(&points, MetricKind::Euclidean, &config, &exec).expect("cold fleet run")
+        }),
     );
     fleet.shutdown();
-    for (kernel, m) in [
-        ("exec_mr_kcenter_warm_fleet", m_warm),
-        ("exec_mr_kcenter_cold_fleet", m_cold),
-    ] {
-        records.push(Record {
-            kernel,
-            dataset: "Power",
-            n,
-            ops: ell as u64,
-            threads: 1,
-            m,
-        });
-        eprintln!("  {kernel:<27} {:>12.2?} ±{:.2?}", m.median, m.mad);
-    }
 
     // Content-addressed shard reuse: the warm arm serves every shard from
     // the artifact store (asserted: zero writes per sample); the cold arm
@@ -592,33 +577,24 @@ fn run_exec_rows(warmup: usize, samples: usize, records: &mut Vec<Record>) -> Ex
     assert_eq!(primed.report.shard_writes, ell);
     let mut warm_shard_writes = 0usize;
     let mut warm_shard_reuses = usize::MAX;
-    let (m_reused, m_resharded) = criterion::measure_paired(
-        warmup,
-        samples,
-        || {
-            let run = exec_mr_kcenter(&points, MetricKind::Euclidean, &config, &stored)
+    record_pair(
+        records,
+        run,
+        "Power",
+        n,
+        ell as u64,
+        ("exec_mr_kcenter_shards_reused", || {
+            let job = exec_mr_kcenter(&points, MetricKind::Euclidean, &config, &stored)
                 .expect("store-served run");
-            warm_shard_writes = warm_shard_writes.max(run.report.shard_writes);
-            warm_shard_reuses = warm_shard_reuses.min(run.report.shard_reuses);
-            run
-        },
-        || exec_mr_kcenter(&points, MetricKind::Euclidean, &config, &exec).expect("re-shard run"),
+            warm_shard_writes = warm_shard_writes.max(job.report.shard_writes);
+            warm_shard_reuses = warm_shard_reuses.min(job.report.shard_reuses);
+            job
+        }),
+        ("exec_mr_kcenter_shards_rewritten", || {
+            exec_mr_kcenter(&points, MetricKind::Euclidean, &config, &exec).expect("re-shard run")
+        }),
     );
     assert_eq!(warm_shard_writes, 0, "warm runs must not write shards");
-    for (kernel, m) in [
-        ("exec_mr_kcenter_shards_reused", m_reused),
-        ("exec_mr_kcenter_shards_rewritten", m_resharded),
-    ] {
-        records.push(Record {
-            kernel,
-            dataset: "Power",
-            n,
-            ops: ell as u64,
-            threads: 1,
-            m,
-        });
-        eprintln!("  {kernel:<27} {:>12.2?} ±{:.2?}", m.median, m.mad);
-    }
     let _ = std::fs::remove_dir_all(&store_dir);
     ExecAccounting {
         warm_shard_writes,
@@ -644,31 +620,27 @@ fn run_serve_rows(warmup: usize, samples: usize, records: &mut Vec<Record>) {
         ingest_buffer: 256,
     };
     let points = Dataset::Power.generate(n, FIXTURE_DATASET_SEED);
+    let run = (warmup, samples, 1);
 
     // Ingest throughput: a fresh session absorbs the workload in
     // 256-point batches, each batch crossing the bounded channel exactly
     // as a server-side ingest does.
-    let m = measure(warmup, samples, || {
-        let registry =
-            SessionRegistry::new(Euclidean, config.clone(), None).expect("bench registry");
-        for batch in points.chunks(256) {
-            registry
-                .ingest("bench", "ingest", batch.to_vec())
-                .expect("bench ingest");
-        }
-        registry
-    });
-    records.push(Record {
-        kernel: "serve_ingest_throughput",
-        dataset: "Power",
+    record_one(
+        records,
+        run,
+        "Power",
         n,
-        ops: n as u64,
-        threads: 1,
-        m,
-    });
-    eprintln!(
-        "  serve_ingest/n={n}         {:>12.2?} ±{:.2?}",
-        m.median, m.mad
+        n as u64,
+        ("serve_ingest_throughput", || {
+            let registry =
+                SessionRegistry::new(Euclidean, config.clone(), None).expect("bench registry");
+            for batch in points.chunks(256) {
+                registry
+                    .ingest("bench", "ingest", batch.to_vec())
+                    .expect("bench ingest");
+            }
+            registry
+        }),
     );
 
     let registry = SessionRegistry::new(Euclidean, config, None).expect("bench registry");
@@ -683,10 +655,13 @@ fn run_serve_rows(warmup: usize, samples: usize, records: &mut Vec<Record>) {
         .query("bench", "memo", k, z, eps)
         .expect("prime the memo");
     let flip = std::cell::Cell::new(false);
-    let (m_solve, m_memo) = measure_paired(
-        warmup,
-        samples,
-        || {
+    record_pair(
+        records,
+        run,
+        "Power",
+        n,
+        1,
+        ("serve_query_latency", || {
             // Alternate k so every call misses the single-entry memo and
             // pays the full snapshot-and-solve path.
             let kk = if flip.replace(!flip.get()) { k + 1 } else { k };
@@ -695,29 +670,15 @@ fn run_serve_rows(warmup: usize, samples: usize, records: &mut Vec<Record>) {
                 .expect("solver query");
             assert!(!answer.cached, "solver arm must never hit the memo");
             answer
-        },
-        || {
+        }),
+        ("serve_query_memoized", || {
             let answer = registry
                 .query("bench", "memo", k, z, eps)
                 .expect("memo query");
             assert!(answer.cached, "memo arm must always hit");
             answer
-        },
+        }),
     );
-    for (kernel, m) in [
-        ("serve_query_latency", m_solve),
-        ("serve_query_memoized", m_memo),
-    ] {
-        records.push(Record {
-            kernel,
-            dataset: "Power",
-            n,
-            ops: 1,
-            threads: 1,
-            m,
-        });
-        eprintln!("  {kernel:<27} {:>12.2?} ±{:.2?}", m.median, m.mad);
-    }
 }
 
 fn main() {
@@ -755,7 +716,7 @@ fn main() {
         if smoke {
             "BENCH_smoke.json"
         } else {
-            "BENCH_pr14.json"
+            "BENCH_pr15.json"
         }
         .to_string()
     });
@@ -824,7 +785,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"note\": \"median over {samples} samples after {warmup} warmup runs, MAD outlier rejection; threads=1 is the sequential reference (inline execution, no pool overhead); *_scalar_loop rows withhold the block kernel (the trait's per-point loop runs instead), paired ABBA against the block-kernel rows; gmm_select_proxied/gmm_select_sqrt_before and gmm_coreset_pruned/gmm_coreset_unpruned are ABBA pairs over the same PointRef layout, isolating the sqrt-free proxy and round-1 cluster pruning; a multi-thread scaling row appears only when the machine has >1 hardware thread; exec_* rows are paired ABBA too — warm_fleet reuses one persistent WorkerFleet across samples vs a fresh fleet per run, shards_reused serves content-addressed store shards (exec_warm_shard_writes pins 0 writes per warm sample) vs work-dir re-sharding\","
+        "  \"note\": \"median over {samples} samples after {warmup} warmup runs, MAD outlier rejection; threads=1 is the sequential reference (inline execution, no pool overhead); distance_matrix_build* rows build the proxy-scale DistanceMatrix::build_cmp matrix that CachedOracle caches, and outliers_cluster/radius_search_grid read it through CmpMatrixRef, the oracle solve_coreset_cached runs below the cache threshold; *_scalar_loop rows withhold the block kernel (the trait's per-point loop runs instead), paired ABBA against the block-kernel rows; gmm_select_proxied/gmm_select_sqrt_before and gmm_coreset_pruned/gmm_coreset_unpruned are ABBA pairs over the same PointRef layout, isolating the sqrt-free proxy and round-1 cluster pruning; a multi-thread scaling row appears only when the machine has >1 hardware thread; exec_* rows are paired ABBA too — warm_fleet reuses one persistent WorkerFleet across samples vs a fresh fleet per run, shards_reused serves content-addressed store shards (exec_warm_shard_writes pins 0 writes per warm sample) vs work-dir re-sharding\","
     );
     json.push_str("  \"records\": [\n");
     let lines: Vec<String> = records.iter().map(json_record).collect();

@@ -17,16 +17,22 @@
 //!   baseline and as a differential-testing oracle (both must return
 //!   identical results).
 //!
-//! Both run on a [`DistanceOracle`] so the radius search can share one
-//! cached [`DistanceMatrix`] across its many
-//! radius guesses when the coreset is small, falling back to on-the-fly
-//! metric evaluation for large coresets.
+//! Both run on a [`DistanceOracle`]: [`CmpMatrixRef`] over the proxy-scale
+//! [`DistanceMatrix`] a coreset's `CachedOracle` shares across the radius
+//! search's many guesses when the coreset is small, [`PointsOracle`]'s
+//! on-the-fly metric evaluation for large coresets.
 
 use rayon::prelude::*;
 
-use kcenter_metric::{CachedOracle, DistanceMatrix, Metric};
+use kcenter_metric::{DistanceMatrix, Metric};
 
-/// Pairwise distances among coreset points, by index.
+/// Pairwise distances among coreset points, by index, compared on the
+/// metric's [`Metric::cmp_distance`] scale.
+///
+/// Two oracles implement it: [`CmpMatrixRef`] reads a cached proxy matrix
+/// and [`PointsOracle`] evaluates the metric on demand. Both apply the same
+/// comparison rule, so an algorithm's output does not depend on which one
+/// it ran on.
 pub trait DistanceOracle: Sync {
     /// Number of points.
     fn len(&self) -> usize;
@@ -40,51 +46,22 @@ pub trait DistanceOracle: Sync {
     /// Comparison proxy for [`DistanceOracle::dist`] — order-isomorphic to
     /// the distance, zero iff the distance is zero (mirrors
     /// [`Metric::cmp_distance`]). Threshold scans call this together with
-    /// [`DistanceOracle::radius_to_cmp`] so metric-backed oracles can skip
-    /// the final `sqrt` of every evaluation. Default: the distance itself.
-    #[inline]
-    fn cmp_dist(&self, i: usize, j: usize) -> f64 {
-        self.dist(i, j)
-    }
+    /// [`DistanceOracle::radius_to_cmp`] so they skip the final `sqrt` of
+    /// every evaluation.
+    fn cmp_dist(&self, i: usize, j: usize) -> f64;
 
     /// Batched [`DistanceOracle::cmp_dist`]: writes `cmp_dist(t, base + j)`
-    /// into `out[j]`. The default loops the scalar lookup; point-backed
-    /// oracles forward to [`Metric::cmp_distance_block`] (the vectorized
-    /// kernels) and matrix-backed oracles copy contiguous condensed-row
-    /// slices. Overrides must stay bit-identical to the default.
-    fn cmp_dist_block(&self, t: usize, base: usize, out: &mut [f64]) {
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = self.cmp_dist(t, base + j);
-        }
-    }
+    /// into `out[j]`. Point-backed oracles forward to
+    /// [`Metric::cmp_distance_block`] (the vectorized kernels) and
+    /// matrix-backed oracles copy contiguous condensed-row slices; either
+    /// must stay bit-identical to looping the scalar lookup.
+    fn cmp_dist_block(&self, t: usize, base: usize, out: &mut [f64]);
 
     /// Maps a true radius onto the [`DistanceOracle::cmp_dist`] scale.
-    #[inline]
-    fn radius_to_cmp(&self, r: f64) -> f64 {
-        r
-    }
+    fn radius_to_cmp(&self, r: f64) -> f64;
 
     /// Maps a [`DistanceOracle::cmp_dist`] value back to a true distance.
-    #[inline]
-    fn cmp_to_radius(&self, cmp: f64) -> f64 {
-        cmp
-    }
-
-    /// Materializes any lazy internal state **on the calling thread**,
-    /// before the parallel scans start. The algorithms in this module (and
-    /// the radius search) call this once at entry; oracles with no lazy
-    /// state keep the no-op default.
-    ///
-    /// This is load-bearing for [`CachedOracle`]: its matrix build runs
-    /// inside a `OnceLock` initializer *and* parallelizes over the pool.
-    /// If the first lookup instead happened inside a pool task, the
-    /// initializing worker — which participates in scheduling while it
-    /// builds — could steal a unit of the outer scan whose task re-enters
-    /// the `OnceLock` on the same thread: a deadlock (every other thread
-    /// is already parked on the same initializer). Resolving the cache
-    /// from the submitting thread makes the build an ordinary nested job,
-    /// which the pool handles deadlock-free.
-    fn prepare(&self) {}
+    fn cmp_to_radius(&self, cmp: f64) -> f64;
 }
 
 /// Batched row read out of a condensed matrix, exploiting that row `t`'s
@@ -109,23 +86,6 @@ fn matrix_cmp_block(matrix: &DistanceMatrix, t: usize, base: usize, out: &mut [f
     }
 }
 
-impl DistanceOracle for DistanceMatrix {
-    fn len(&self) -> usize {
-        DistanceMatrix::len(self)
-    }
-
-    // The matrix caches true distances, so the default identity proxy is
-    // already sqrt-free.
-    #[inline]
-    fn dist(&self, i: usize, j: usize) -> f64 {
-        self.get(i, j)
-    }
-
-    fn cmp_dist_block(&self, t: usize, base: usize, out: &mut [f64]) {
-        matrix_cmp_block(self, t, base, out);
-    }
-}
-
 /// A [`DistanceOracle`] that evaluates the metric on demand — no quadratic
 /// memory, used for coresets too large to cache.
 pub struct PointsOracle<'a, P, M> {
@@ -142,9 +102,10 @@ impl<'a, P, M: Metric<P>> PointsOracle<'a, P, M> {
 
 /// A [`DistanceOracle`] over a borrowed *proxy-scale* [`DistanceMatrix`]
 /// paired with its metric's conversions — the matrix-backed counterpart
-/// of [`PointsOracle`], used to run searches against a [`CachedOracle`]'s
-/// shared matrix (or any `DistanceMatrix::build_cmp` product) without a
-/// per-lookup cache-resolution branch in the `O(|T|²)` inner loops.
+/// of [`PointsOracle`], used to run searches against a
+/// [`CachedOracle`](kcenter_metric::CachedOracle)'s shared matrix (or any
+/// [`DistanceMatrix::build_cmp`] product) without a per-lookup
+/// cache-resolution branch in the `O(|T|²)` inner loops.
 ///
 /// Both oracles apply the **same comparison rule**: they compare on the
 /// metric's [`Metric::cmp_distance`] scale, so an algorithm's output is
@@ -201,44 +162,6 @@ impl<P: Sync, M: Metric<P>> DistanceOracle for CmpMatrixRef<'_, P, M> {
     #[inline]
     fn cmp_to_radius(&self, cmp: f64) -> f64 {
         self.metric.cmp_to_distance(cmp)
-    }
-}
-
-/// The shared memoized oracle is itself a [`DistanceOracle`]: lookups go
-/// through its cache (matrix-backed once built, metric-evaluated above the
-/// cache threshold). Hot search loops should prefer resolving the cache
-/// once — [`CachedOracle::matrix`] + [`CmpMatrixRef`], as
-/// `solve_coreset_cached` does — but the direct impl keeps the handle
-/// usable anywhere an oracle is expected.
-impl<P: Send + Sync, M: Metric<P>> DistanceOracle for CachedOracle<'_, P, M> {
-    fn len(&self) -> usize {
-        CachedOracle::len(self)
-    }
-
-    fn prepare(&self) {
-        // Resolve (and, below the threshold, build) the cache on the
-        // calling thread — see the trait method's deadlock note.
-        let _ = self.matrix();
-    }
-
-    #[inline]
-    fn dist(&self, i: usize, j: usize) -> f64 {
-        CachedOracle::dist(self, i, j)
-    }
-
-    #[inline]
-    fn cmp_dist(&self, i: usize, j: usize) -> f64 {
-        CachedOracle::cmp_dist(self, i, j)
-    }
-
-    #[inline]
-    fn radius_to_cmp(&self, r: f64) -> f64 {
-        self.metric().distance_to_cmp(r)
-    }
-
-    #[inline]
-    fn cmp_to_radius(&self, cmp: f64) -> f64 {
-        self.metric().cmp_to_distance(cmp)
     }
 }
 
@@ -308,7 +231,6 @@ pub fn outliers_cluster<O: DistanceOracle>(
         r >= 0.0 && eps_hat >= 0.0,
         "radius and eps must be non-negative"
     );
-    oracle.prepare();
 
     // Thresholds on the oracle's comparison scale: every O(n²) scan below
     // tests `cmp_dist <= cmp-threshold`, sqrt-free for metric oracles.
@@ -578,19 +500,6 @@ mod tests {
             let naive = outliers_cluster_naive(&oracle, &w, k, r, eps);
             assert_eq!(fast, naive, "divergence at k={k}, r={r}, eps={eps}");
         }
-    }
-
-    #[test]
-    fn matrix_oracle_matches_points_oracle() {
-        let pts: Vec<Point> = (0..30)
-            .map(|i| Point::new(vec![(i as f64 * 1.3) % 17.0]))
-            .collect();
-        let w = vec![1u64; 30];
-        let points_oracle = PointsOracle::new(&pts, &Euclidean);
-        let matrix = DistanceMatrix::build(&pts, &Euclidean);
-        let a = outliers_cluster(&points_oracle, &w, 4, 3.0, 0.25);
-        let b = outliers_cluster(&matrix, &w, 4, 3.0, 0.25);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -107,11 +107,6 @@ pub fn find_min_feasible_radius<O: DistanceOracle>(
     assert!(n > 0, "radius search over an empty coreset");
     assert_eq!(weights.len(), n, "weights misaligned with points");
     assert!(k > 0, "k must be positive");
-    // Materialize lazy oracle state here, on the submitting thread, before
-    // the parallel candidate/min-distance scans first touch it (see
-    // `DistanceOracle::prepare` for why this must not happen inside a
-    // pool task).
-    oracle.prepare();
 
     let evaluations = std::cell::Cell::new(0usize);
     let feasible = |r: f64| -> Option<OutliersClusterResult> {
@@ -391,8 +386,12 @@ where
     M: Metric<P>,
 {
     assert!(!oracle.is_empty(), "cannot solve an empty coreset");
-    // Resolve the cache once: the search loops then read the matrix (or
-    // the metric) directly, with no per-lookup cache branch.
+    // Resolve the cache once, on the calling thread and before any
+    // parallel scan: the build parallelizes inside the handle's
+    // `OnceLock`, so a first touch from a pool task scanning this handle
+    // could deadlock (see `CachedOracle::matrix`). The search loops then
+    // read the matrix (or the metric) directly, with no per-lookup cache
+    // branch.
     let search = match oracle.matrix() {
         Some(matrix) => {
             let view = CmpMatrixRef::<P, M>::new(matrix, oracle.metric());

@@ -115,12 +115,11 @@ where
 
 /// Distance from every oracle point to the closest of the centers given
 /// *by index*, through the oracle — so a matrix-backed oracle (e.g. a
-/// `CachedOracle` whose proxy matrix a radius search already built) prices
-/// the evaluation from the shared cache instead of re-running the metric.
-/// The inner loop compares proxies; one conversion per point.
+/// `CmpMatrixRef` over the proxy matrix a radius search already built)
+/// prices the evaluation from the shared cache instead of re-running the
+/// metric. The inner loop compares proxies; one conversion per point.
 pub fn oracle_assignment_distances<O: DistanceOracle>(oracle: &O, centers: &[usize]) -> Vec<f64> {
     assert!(!centers.is_empty(), "no centers to assign to");
-    oracle.prepare();
     (0..oracle.len())
         .into_par_iter()
         .map(|i| {
@@ -293,13 +292,17 @@ mod tests {
 
     #[test]
     fn oracle_objective_matches_point_objective() {
-        use crate::outliers_cluster::PointsOracle;
+        use crate::outliers_cluster::{CmpMatrixRef, PointsOracle};
         use kcenter_metric::CachedOracle;
         let points = pts(&[0.0, 1.0, 2.0, 100.0, 5.0]);
         let center_idx = [0usize, 3];
         let center_pts = pts(&[0.0, 100.0]);
         let on_demand = PointsOracle::new(&points, &Euclidean);
-        let cached = CachedOracle::new(points.clone(), &Euclidean, 1_000);
+        let handle = CachedOracle::new(points.clone(), &Euclidean, 1_000);
+        let cached = CmpMatrixRef::<Point, _>::new(
+            handle.matrix().expect("below threshold"),
+            handle.metric(),
+        );
         for z in 0..=3usize {
             let reference = radius_with_outliers(&points, &center_pts, z, &Euclidean);
             assert_eq!(
@@ -313,7 +316,7 @@ mod tests {
                 "cached oracle diverged at z = {z}"
             );
         }
-        assert_eq!(cached.build_count(), 1);
+        assert_eq!(handle.build_count(), 1);
         assert_eq!(
             oracle_assignment_distances(&cached, &center_idx),
             assignment_distances(&points, &center_pts, &Euclidean)

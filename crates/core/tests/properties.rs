@@ -6,12 +6,12 @@ use kcenter_core::brute_force::{optimal_kcenter, optimal_kcenter_outliers};
 use kcenter_core::coreset::{build_weighted_coreset, CoresetSpec};
 use kcenter_core::gmm::gmm_select;
 use kcenter_core::outliers_cluster::{
-    outliers_cluster, outliers_cluster_naive, DistanceOracle, PointsOracle,
+    outliers_cluster, outliers_cluster_naive, CmpMatrixRef, DistanceOracle, PointsOracle,
 };
-use kcenter_core::radius_search::{find_min_feasible_radius, SearchMode};
+use kcenter_core::radius_search::{find_min_feasible_radius, solve_coreset_cached, SearchMode};
 use kcenter_core::solution::{radius, radius_with_outliers};
 use kcenter_core::streaming_coreset::WeightedDoublingCoreset;
-use kcenter_metric::{CachedOracle, Euclidean, Metric, Point};
+use kcenter_metric::{CachedOracle, Chebyshev, CosineAngular, Euclidean, Manhattan, Metric, Point};
 use kcenter_stream::StreamingAlgorithm;
 
 fn arb_points(dim: usize, min_n: usize, max_n: usize) -> impl Strategy<Value = Vec<Point>> {
@@ -19,6 +19,40 @@ fn arb_points(dim: usize, min_n: usize, max_n: usize) -> impl Strategy<Value = V
         prop::collection::vec(-100.0..100.0f64, dim).prop_map(Point::new),
         min_n..max_n,
     )
+}
+
+/// Coordinate bit patterns, so center comparisons are bitwise.
+fn coord_bits(points: &[Point]) -> Vec<Vec<u64>> {
+    points
+        .iter()
+        .map(|p| p.coords().iter().map(|x| x.to_bits()).collect())
+        .collect()
+}
+
+/// `solve_coreset_cached` under `metric` on both sides of the cache
+/// threshold — at `n` (the cached matrix) and at `0` (on demand) — in both
+/// search modes: bit-equal radius, uncovered weight, evaluation count and
+/// centers; one build for the cached handle, none for the on-demand one.
+fn cached_and_on_demand_solves_agree<M: Metric<Point>>(
+    points: &[Point],
+    k: usize,
+    z: u64,
+    metric: &M,
+) -> Result<(), TestCaseError> {
+    let weights = vec![1u64; points.len()];
+    let cached = CachedOracle::new(points.to_vec(), metric, points.len());
+    let on_demand = CachedOracle::new(points.to_vec(), metric, 0);
+    for mode in [SearchMode::ExactCandidates, SearchMode::GeometricGrid] {
+        let a = solve_coreset_cached(&cached, &weights, k, z, 0.25, mode);
+        let b = solve_coreset_cached(&on_demand, &weights, k, z, 0.25, mode);
+        prop_assert_eq!(a.r_min.to_bits(), b.r_min.to_bits());
+        prop_assert_eq!(a.uncovered_weight, b.uncovered_weight);
+        prop_assert_eq!(a.evaluations, b.evaluations);
+        prop_assert_eq!(coord_bits(&a.centers), coord_bits(&b.centers));
+    }
+    prop_assert_eq!(cached.build_count(), 1);
+    prop_assert_eq!(on_demand.build_count(), 0);
+    Ok(())
 }
 
 proptest! {
@@ -271,32 +305,36 @@ proptest! {
         );
     }
 
-    /// The shared cached oracle and the on-demand oracle agree bitwise on
-    /// `cmp_distance` and `distance` for random point sets — on both sides
-    /// of the cache threshold, so a run landing above the threshold can
-    /// never diverge from one landing below it.
+    /// A cached handle's matrix, read through `CmpMatrixRef`, and the
+    /// on-demand oracle agree bitwise on `cmp_dist` and `dist` for random
+    /// point sets, and a handle above its cache threshold never caches —
+    /// so a run landing above the threshold can never diverge from one
+    /// landing below it.
     #[test]
     fn cached_and_on_demand_oracles_agree(points in arb_points(3, 2, 24)) {
         let n = points.len();
         let on_demand = PointsOracle::new(&points, &Euclidean);
         let cached = CachedOracle::new(points.clone(), &Euclidean, n);
         let uncached = CachedOracle::new(points.clone(), &Euclidean, 0);
+        let matrix = CmpMatrixRef::<Point, _>::new(
+            cached.matrix().expect("at the threshold"),
+            cached.metric(),
+        );
         for i in 0..n {
             for j in 0..n {
                 let reference_cmp = DistanceOracle::cmp_dist(&on_demand, i, j);
                 let reference = DistanceOracle::dist(&on_demand, i, j);
-                prop_assert_eq!(cached.cmp_dist(i, j).to_bits(), reference_cmp.to_bits());
-                prop_assert_eq!(uncached.cmp_dist(i, j).to_bits(), reference_cmp.to_bits());
-                prop_assert_eq!(cached.dist(i, j).to_bits(), reference.to_bits());
-                prop_assert_eq!(uncached.dist(i, j).to_bits(), reference.to_bits());
+                prop_assert_eq!(matrix.cmp_dist(i, j).to_bits(), reference_cmp.to_bits());
+                prop_assert_eq!(matrix.dist(i, j).to_bits(), reference.to_bits());
             }
         }
+        prop_assert!(uncached.matrix().is_none());
         prop_assert_eq!(cached.build_count(), 1);
         prop_assert_eq!(uncached.build_count(), 0); // threshold 0 must never cache
     }
 
-    /// Full searches through the cached oracle match the on-demand oracle
-    /// exactly (same radius, same clustering) for both search modes.
+    /// Full solves through a cached handle match on-demand solves exactly,
+    /// for both search modes and under every named metric.
     #[test]
     fn cached_oracle_searches_match_on_demand(
         points in arb_points(2, 3, 16),
@@ -304,15 +342,10 @@ proptest! {
         z in 0usize..3,
     ) {
         prop_assume!(k + z < points.len());
-        let weights = vec![1u64; points.len()];
-        let on_demand = PointsOracle::new(&points, &Euclidean);
-        let cached = CachedOracle::new(points.clone(), &Euclidean, points.len());
-        for mode in [SearchMode::ExactCandidates, SearchMode::GeometricGrid] {
-            let a = find_min_feasible_radius(&on_demand, &weights, k, z as u64, 0.25, mode);
-            let b = find_min_feasible_radius(&cached, &weights, k, z as u64, 0.25, mode);
-            prop_assert_eq!(a.radius.to_bits(), b.radius.to_bits());
-            prop_assert_eq!(a.clustering, b.clustering);
-        }
+        cached_and_on_demand_solves_agree(&points, k, z as u64, &Euclidean)?;
+        cached_and_on_demand_solves_agree(&points, k, z as u64, &Manhattan)?;
+        cached_and_on_demand_solves_agree(&points, k, z as u64, &Chebyshev)?;
+        cached_and_on_demand_solves_agree(&points, k, z as u64, &CosineAngular)?;
     }
 
     /// End-to-end sanity: the objective evaluators agree with definitions.

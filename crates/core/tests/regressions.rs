@@ -152,20 +152,21 @@ fn double_sweep_builds_the_matrix_exactly_once() {
     assert!(radii[3] >= radii[4] && radii[4] >= radii[5]);
 }
 
-/// Regression for a first-touch deadlock: handing a *lazy* `CachedOracle`
-/// straight to the radius search while running on a multi-thread pool.
-/// The search's first parallel scan used to be the first cache touch, so
-/// the matrix build (itself parallel, inside the `OnceLock` initializer)
-/// started inside a pool task; the initializing worker could steal an
-/// outer-scan unit that re-entered the initializer on its own thread and
-/// every thread parked forever. `DistanceOracle::prepare()` now resolves
-/// the cache on the submitting thread first. The searches run on a helper
-/// thread joined with a timeout, so a regression fails the test with a
-/// diagnosis instead of wedging the whole suite (the pre-fix behaviour of
-/// the ablation binary, whose shape this reproduces).
+/// Regression for a first-touch deadlock: solving over a *lazy*
+/// `CachedOracle` on a multi-thread pool. When a search's first parallel
+/// scan was the first cache touch, the matrix build (itself parallel,
+/// inside the `OnceLock` initializer) started inside a pool task; the
+/// initializing worker could steal an outer-scan unit that re-entered the
+/// initializer on its own thread and every thread parked forever.
+/// `solve_coreset_cached` now resolves the cache on the submitting thread
+/// before any scan, and its scans read the resolved matrix, never the
+/// handle. The solves run on a helper thread joined with a timeout, so a
+/// regression fails the test with a diagnosis instead of wedging the whole
+/// suite (the pre-fix behaviour of the ablation binary, whose shape this
+/// reproduces).
 #[test]
 fn lazy_cached_oracle_search_on_a_pool_does_not_deadlock() {
-    use kcenter_core::radius_search::{find_min_feasible_radius, SearchMode};
+    use kcenter_core::radius_search::{solve_coreset_cached, SearchMode};
     use kcenter_metric::CachedOracle;
 
     let (tx, rx) = std::sync::mpsc::channel();
@@ -181,15 +182,15 @@ fn lazy_cached_oracle_search_on_a_pool_does_not_deadlock() {
         for mode in [SearchMode::GeometricGrid, SearchMode::ExactCandidates] {
             let oracle = CachedOracle::new(points.clone(), &Euclidean, usize::MAX);
             assert_eq!(oracle.build_count(), 0, "cache must start unresolved");
-            let result =
-                pool.install(|| find_min_feasible_radius(&oracle, &weights, 5, 10, 0.25, mode));
-            assert!(result.clustering.uncovered_weight <= 10);
+            let solution =
+                pool.install(|| solve_coreset_cached(&oracle, &weights, 5, 10, 0.25, mode));
+            assert!(solution.uncovered_weight <= 10);
             assert_eq!(oracle.build_count(), 1);
         }
         tx.send(()).expect("main test thread gone");
     });
     rx.recv_timeout(std::time::Duration::from_secs(120)).expect(
-        "lazy first-touch search deadlocked on the pool \
-         (is DistanceOracle::prepare still called at every entry point?)",
+        "lazy first-touch solve deadlocked on the pool \
+         (does solve_coreset_cached still resolve the cache before any scan?)",
     );
 }

@@ -98,18 +98,6 @@ pub trait Metric<P: ?Sized>: Sync + Send {
         }
     }
 
-    /// Batched [`Metric::distance`]: writes `distance(query, block[i])`
-    /// into `out[i]`. Same bit-identity contract as
-    /// [`Metric::cmp_distance_block`].
-    fn distance_to_block(&self, query: &P, block: &[P], out: &mut [f64])
-    where
-        P: Sized,
-    {
-        for (o, b) in out.iter_mut().zip(block) {
-            *o = self.distance(query, b);
-        }
-    }
-
     /// Triangle-inequality pruning bound on the proxy scale: given
     /// `cmp_ac = cmp_distance(a, c)` for two centers `a` and `c`, a
     /// threshold `b` such that every point `p` with
@@ -203,14 +191,6 @@ impl<P: ?Sized, M: Metric<P> + ?Sized> Metric<P> for &M {
     }
 
     #[inline]
-    fn distance_to_block(&self, query: &P, block: &[P], out: &mut [f64])
-    where
-        P: Sized,
-    {
-        (**self).distance_to_block(query, block, out)
-    }
-
-    #[inline]
     fn cmp_prune_bound(&self, cmp_ac: f64) -> Option<f64> {
         (**self).cmp_prune_bound(cmp_ac)
     }
@@ -295,17 +275,6 @@ impl<P: Coordinates> Metric<P> for Euclidean {
         kernels::cmp_block(KernelMetric::Euclidean, query.coords(), block, out);
     }
 
-    // `distance` is *defined* as `sqrt(distance_squared)`, so squaring
-    // the block kernel's proxies through `sqrt` reproduces the scalar
-    // distances bit for bit.
-    #[inline]
-    fn distance_to_block(&self, query: &P, block: &[P], out: &mut [f64]) {
-        kernels::cmp_block(KernelMetric::Euclidean, query.coords(), block, out);
-        for v in out.iter_mut() {
-            *v = v.sqrt();
-        }
-    }
-
     fn cache_fingerprint(&self, points: &[P]) -> Option<u128> {
         Some(fingerprint_points("euclidean", points))
     }
@@ -328,12 +297,6 @@ impl<P: Coordinates> Metric<P> for Manhattan {
 
     #[inline]
     fn cmp_distance_block(&self, query: &P, block: &[P], out: &mut [f64]) {
-        kernels::cmp_block(KernelMetric::Manhattan, query.coords(), block, out);
-    }
-
-    #[inline]
-    fn distance_to_block(&self, query: &P, block: &[P], out: &mut [f64]) {
-        // cmp is the distance itself (identity proxy).
         kernels::cmp_block(KernelMetric::Manhattan, query.coords(), block, out);
     }
 
@@ -364,11 +327,6 @@ impl<P: Coordinates> Metric<P> for Chebyshev {
 
     #[inline]
     fn cmp_distance_block(&self, query: &P, block: &[P], out: &mut [f64]) {
-        kernels::cmp_block(KernelMetric::Chebyshev, query.coords(), block, out);
-    }
-
-    #[inline]
-    fn distance_to_block(&self, query: &P, block: &[P], out: &mut [f64]) {
         kernels::cmp_block(KernelMetric::Chebyshev, query.coords(), block, out);
     }
 
@@ -413,15 +371,10 @@ impl<P: Coordinates> Metric<P> for CosineAngular {
     }
 
     // The angle is its own comparison proxy (no monotone shortcut
-    // survives the acos boundary cases), so both block entry points run
-    // the same kernel.
+    // survives the acos boundary cases), so the block kernel returns
+    // angles and the identity conversions keep them.
     #[inline]
     fn cmp_distance_block(&self, query: &P, block: &[P], out: &mut [f64]) {
-        kernels::cosine_block(query.coords(), block, out);
-    }
-
-    #[inline]
-    fn distance_to_block(&self, query: &P, block: &[P], out: &mut [f64]) {
         kernels::cosine_block(query.coords(), block, out);
     }
 

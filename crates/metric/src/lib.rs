@@ -17,9 +17,9 @@
 //!   does (points at `100 · r_MEB` from the MEB center);
 //! * [`selection`] — order-statistic selection used to evaluate the k-center
 //!   objective with outliers (the `(z+1)`-th largest distance) in `O(n)`;
-//! * [`pairwise`] — parallel pairwise-distance utilities (minimum positive
-//!   distance, diameter bounds, condensed distance matrices) that back the
-//!   radius searches of the clustering algorithms;
+//! * [`pairwise`] — the proxy-scale condensed [`DistanceMatrix`], the
+//!   [`CachedOracle`] handle that builds it at most once for all the
+//!   radius searches over one point set, and diameter bounds;
 //! * [`doubling`] — an empirical doubling-dimension estimator, the parameter
 //!   `D` that governs the coreset sizes in the paper's analysis;
 //! * [`fingerprint`] / [`persist`] — deterministic content fingerprints and

@@ -1,10 +1,11 @@
-//! Parallel pairwise-distance utilities.
+//! Pairwise distances on the metric's comparison scale.
 //!
-//! The radius searches of the outlier algorithms need (a) bounds on the range
-//! of meaningful radii — derived here from the minimum positive pairwise
-//! distance and a 2-approximate diameter — and (b), for the exact-candidates
-//! search mode on small coresets, the full multiset of pairwise distances.
-//! The quadratic scans are rayon-parallel over rows.
+//! [`DistanceMatrix::build_cmp`] prices a point set into a condensed matrix
+//! of [`Metric::cmp_distance`] proxies, rayon-parallel over rows, and
+//! [`CachedOracle`] builds (or loads) that matrix at most once per handle
+//! family so the many radius guesses of round 2 share it.
+//! [`diameter_bounds`] brackets a point set's diameter with one linear
+//! scan.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -14,11 +15,11 @@ use rayon::prelude::*;
 use crate::distance::Metric;
 use crate::persist;
 
-/// Process-wide count of [`DistanceMatrix`] builds (both true-distance and
-/// proxy-scale), kept in the shared metrics registry under
-/// `metric.matrix.builds`. The figure sweeps report it so a run can show
-/// that every coreset was priced into a matrix at most once; tests pin it
-/// to catch regressions that silently reintroduce per-search rebuilds.
+/// Process-wide count of [`DistanceMatrix`] builds, kept in the shared
+/// metrics registry under `metric.matrix.builds`. The figure sweeps report
+/// it so a run can show that every coreset was priced into a matrix at
+/// most once; tests pin it to catch regressions that silently reintroduce
+/// per-search rebuilds.
 fn matrix_builds() -> &'static kcenter_obs::Counter {
     static COUNTER: OnceLock<kcenter_obs::Counter> = OnceLock::new();
     COUNTER.get_or_init(|| kcenter_obs::counter("metric.matrix.builds"))
@@ -27,40 +28,6 @@ fn matrix_builds() -> &'static kcenter_obs::Counter {
 /// Number of [`DistanceMatrix`] builds performed by this process so far.
 pub fn matrix_build_count() -> usize {
     matrix_builds().get() as usize
-}
-
-/// Minimum strictly-positive pairwise distance, or `None` if fewer than two
-/// points exist or all points coincide.
-///
-/// The `O(n²)` scan compares [`Metric::cmp_distance`] proxies; one
-/// [`Metric::cmp_to_distance`] converts the winner at the boundary.
-pub fn min_positive_distance<P: Sync, M: Metric<P>>(points: &[P], metric: &M) -> Option<f64> {
-    if points.len() < 2 {
-        return None;
-    }
-    let min = points
-        .par_iter()
-        .enumerate()
-        .map(|(i, a)| {
-            // Block kernel over the row's tail; a stack sub-block keeps the
-            // proxy buffer off the heap. Each proxy is bit-identical to the
-            // scalar `cmp_distance` call it replaces, and the running-min
-            // update visits them in the same order.
-            let mut row_min = f64::INFINITY;
-            let mut buf = [0.0f64; 256];
-            for chunk in points[i + 1..].chunks(256) {
-                let k = chunk.len();
-                metric.cmp_distance_block(a, chunk, &mut buf[..k]);
-                for &d in &buf[..k] {
-                    if d > 0.0 && d < row_min {
-                        row_min = d;
-                    }
-                }
-            }
-            row_min
-        })
-        .reduce(|| f64::INFINITY, f64::min);
-    (min != f64::INFINITY).then(|| metric.cmp_to_distance(min))
 }
 
 /// Lower and upper bounds on the diameter of `points`.
@@ -78,24 +45,6 @@ pub fn diameter_bounds<P: Sync, M: Metric<P>>(points: &[P], metric: &M) -> (f64,
             .reduce(|| 0.0, f64::max),
     );
     (r, 2.0 * r)
-}
-
-/// All `n(n-1)/2` pairwise distances (unordered pairs).
-///
-/// Memory is quadratic; the exact-candidates radius search only calls this
-/// for coresets below a configurable size threshold.
-pub fn all_pairwise_distances<P: Sync, M: Metric<P>>(points: &[P], metric: &M) -> Vec<f64> {
-    let n = points.len();
-    if n < 2 {
-        return Vec::new();
-    }
-    (0..n - 1)
-        .into_par_iter()
-        .flat_map_iter(|i| {
-            let a = &points[i];
-            points[i + 1..].iter().map(move |b| metric.distance(a, b))
-        })
-        .collect()
 }
 
 /// An immutable `f64` buffer at a stable address, usable as the backing
@@ -175,8 +124,9 @@ impl Clone for MatrixData {
     }
 }
 
-/// A condensed symmetric distance matrix storing only the strict upper
-/// triangle (`n(n-1)/2` entries), with `d(i,i) = 0`.
+/// A condensed symmetric matrix of [`Metric::cmp_distance`] proxies storing
+/// only the strict upper triangle (`n(n-1)/2` entries), with a zero
+/// diagonal.
 ///
 /// Used by `OutliersCluster` to avoid recomputing distances across the
 /// multiple radius guesses of the binary search when the coreset is small
@@ -212,35 +162,18 @@ impl PartialEq for DistanceMatrix {
 }
 
 impl DistanceMatrix {
-    /// Builds the matrix from `points` under `metric`.
+    /// Builds the matrix of [`Metric::cmp_distance`] comparison proxies of
+    /// `points` under `metric` — entirely sqrt-free for metrics with a
+    /// non-trivial proxy. Lookups through [`DistanceMatrix::get`] return
+    /// *proxy* values; callers own the conversion discipline (see
+    /// `CmpMatrixRef` in `kcenter-core`, which pairs the matrix with the
+    /// metric's conversions so matrix-backed and metric-backed scans apply
+    /// one comparison rule).
     ///
     /// The condensed buffer is allocated once and filled in place, parallel
-    /// over rows: each row is a chunk-sized work unit for the pool, and its
-    /// inner loop is a plain sequential scan (no per-element collection).
-    pub fn build<P: Sync, M: Metric<P>>(points: &[P], metric: &M) -> Self {
-        Self::build_with(points, |a, rest, row| {
-            metric.distance_to_block(a, rest, row)
-        })
-    }
-
-    /// Builds a matrix of [`Metric::cmp_distance`] comparison proxies —
-    /// entirely sqrt-free for metrics with a non-trivial proxy. Lookups
-    /// through [`DistanceMatrix::get`] then return *proxy* values; callers
-    /// own the conversion discipline (see `CmpMatrixRef` in
-    /// `kcenter-core`, which pairs this with the metric's conversions so
-    /// matrix-backed and metric-backed scans apply one comparison rule).
+    /// over rows: each row is one [`Metric::cmp_distance_block`] call over
+    /// `points[i+1..]`, bit-identical to a per-pair scalar fill.
     pub fn build_cmp<P: Sync, M: Metric<P>>(points: &[P], metric: &M) -> Self {
-        Self::build_with(points, |a, rest, row| {
-            metric.cmp_distance_block(a, rest, row)
-        })
-    }
-
-    /// Shared parallel row-fill behind [`DistanceMatrix::build`] and
-    /// [`DistanceMatrix::build_cmp`]: `fill(points[i], &points[i+1..],
-    /// row)` writes each condensed row in one block-kernel call, so the
-    /// whole strict upper triangle is evaluated by the vectorized batch
-    /// kernels (bit-identical to the old per-pair scalar fill).
-    fn build_with<P: Sync>(points: &[P], fill: impl Fn(&P, &[P], &mut [f64]) + Sync) -> Self {
         let n = points.len();
         let mut data = vec![0.0f64; n * n.saturating_sub(1) / 2];
         // Carve the condensed buffer into one mutable slice per row.
@@ -252,7 +185,7 @@ impl DistanceMatrix {
             rest = tail;
         }
         rows.into_par_iter().for_each(|(i, row)| {
-            fill(&points[i], &points[i + 1..], row);
+            metric.cmp_distance_block(&points[i], &points[i + 1..], row);
         });
         matrix_builds().inc();
         DistanceMatrix {
@@ -326,12 +259,6 @@ impl DistanceMatrix {
         self.n == 0
     }
 
-    /// Bytes held by the condensed buffer (heap for owned matrices, page
-    /// cache for externally backed ones).
-    pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(self.condensed())
-    }
-
     #[inline]
     fn index(&self, i: usize, j: usize) -> usize {
         debug_assert!(i < j && j < self.n);
@@ -339,7 +266,7 @@ impl DistanceMatrix {
         i * self.n - i * (i + 1) / 2 + (j - i - 1)
     }
 
-    /// The distance between points `i` and `j`.
+    /// The entry for points `i` and `j` (zero on the diagonal).
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
         use std::cmp::Ordering::*;
@@ -374,11 +301,13 @@ impl DistanceMatrix {
 /// fix for sweeps that used to re-derive the same `O(|T|²)` matrix for
 /// every ε and parallelism setting.
 ///
-/// Point sets larger than `threshold` are never cached; lookups then
-/// evaluate the metric on demand (the [`DistanceMatrix`] memory ceiling
-/// discipline of the radius search). Either way all comparisons happen on
-/// the metric's proxy scale, so cached and on-demand reads are bitwise
-/// interchangeable (see the `Metric::cmp_distance` contract).
+/// Point sets larger than `threshold` are never cached:
+/// [`CachedOracle::matrix`] returns `None`, and `kcenter-core`'s
+/// `solve_coreset_cached` then evaluates the metric on demand through its
+/// `PointsOracle` (the [`DistanceMatrix`] memory ceiling of the radius
+/// search). Both paths compare on the metric's proxy scale, so their
+/// results are bitwise interchangeable (see the `Metric::cmp_distance`
+/// contract).
 pub struct CachedOracle<'m, P, M> {
     points: Arc<[P]>,
     metric: &'m M,
@@ -442,14 +371,13 @@ impl<'m, P: Sync, M: Metric<P>> CachedOracle<'m, P, M> {
     /// The build runs inside the `OnceLock` initializer **and**
     /// parallelizes over the pool, so the *first* call for a handle family
     /// must come from a thread that is not currently executing a pool task
-    /// scanning this same oracle — otherwise the initializing worker,
-    /// which participates in scheduling while it builds, can steal a unit
-    /// of that outer scan and re-enter the initializer on its own thread
-    /// (deadlock). Algorithms consume the handle through
-    /// `kcenter-core`'s `DistanceOracle` trait, whose `prepare()` hook
-    /// resolves the cache on the submitting thread before any parallel
-    /// scan; call `matrix()` (or `prepare()`) the same way in custom
-    /// drivers.
+    /// which itself calls `matrix()` on this handle — otherwise the
+    /// initializing worker, which participates in scheduling while it
+    /// builds, can steal such a task and re-enter the initializer on its
+    /// own thread (deadlock). `kcenter-core`'s `solve_coreset_cached`
+    /// calls it once on the submitting thread, before any parallel scan,
+    /// and its scans then read the resolved matrix, never the handle;
+    /// other callers should resolve it the same way.
     pub fn matrix(&self) -> Option<&DistanceMatrix> {
         if self.points.len() > self.threshold {
             return None;
@@ -501,30 +429,6 @@ impl<'m, P: Sync, M: Metric<P>> CachedOracle<'m, P, M> {
     pub fn load_count(&self) -> usize {
         self.loads.load(Ordering::Relaxed)
     }
-
-    /// Bytes of heap memory held by the cached matrix (0 while unbuilt).
-    pub fn heap_bytes(&self) -> usize {
-        self.cache.get().map_or(0, DistanceMatrix::heap_bytes)
-    }
-
-    /// Comparison proxy for the distance between points `i` and `j` —
-    /// matrix-backed when cached, metric-evaluated otherwise. Both paths
-    /// return the exact same value ([`Metric::cmp_distance`]).
-    #[inline]
-    pub fn cmp_dist(&self, i: usize, j: usize) -> f64 {
-        match self.matrix() {
-            Some(m) => m.get(i, j),
-            None => self.metric.cmp_distance(&self.points[i], &self.points[j]),
-        }
-    }
-
-    /// True distance between points `i` and `j` (one conversion over
-    /// [`CachedOracle::cmp_dist`]; bit-identical to `metric.distance` per
-    /// the [`Metric`] round-trip contract).
-    #[inline]
-    pub fn dist(&self, i: usize, j: usize) -> f64 {
-        self.metric.cmp_to_distance(self.cmp_dist(i, j))
-    }
 }
 
 #[cfg(test)]
@@ -535,24 +439,6 @@ mod tests {
 
     fn pts(coords: &[f64]) -> Vec<Point> {
         coords.iter().map(|&c| Point::new(vec![c])).collect()
-    }
-
-    #[test]
-    fn min_positive_skips_duplicates() {
-        let points = pts(&[0.0, 0.0, 5.0, 5.5]);
-        assert_eq!(min_positive_distance(&points, &Euclidean), Some(0.5));
-    }
-
-    #[test]
-    fn min_positive_none_for_identical_points() {
-        let points = pts(&[2.0, 2.0, 2.0]);
-        assert_eq!(min_positive_distance(&points, &Euclidean), None);
-    }
-
-    #[test]
-    fn min_positive_none_for_singleton() {
-        assert_eq!(min_positive_distance(&pts(&[1.0]), &Euclidean), None);
-        assert_eq!(min_positive_distance::<Point, _>(&[], &Euclidean), None);
     }
 
     #[test]
@@ -570,25 +456,17 @@ mod tests {
     }
 
     #[test]
-    fn all_pairwise_count_and_values() {
-        let points = pts(&[0.0, 1.0, 3.0]);
-        let mut d = all_pairwise_distances(&points, &Euclidean);
-        d.sort_by(f64::total_cmp);
-        assert_eq!(d, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     fn distance_matrix_symmetric_lookup() {
         let points = pts(&[0.0, 2.0, 7.0, -1.0]);
-        let m = DistanceMatrix::build(&points, &Euclidean);
+        let m = DistanceMatrix::build_cmp(&points, &Euclidean);
         assert_eq!(m.len(), 4);
         for i in 0..4 {
             assert_eq!(m.get(i, i), 0.0);
             for j in 0..4 {
                 assert_eq!(m.get(i, j), m.get(j, i));
                 assert_eq!(
-                    m.get(i, j),
-                    Euclidean.distance(&points[i], &points[j]),
+                    m.get(i, j).to_bits(),
+                    Euclidean.cmp_distance(&points[i], &points[j]).to_bits(),
                     "mismatch at ({i},{j})"
                 );
             }
@@ -601,39 +479,33 @@ mod tests {
         let points = pts(&[0.0, 2.0, 7.0, -1.0]);
         let oracle = CachedOracle::new(points.clone(), &Euclidean, 1_000);
         assert_eq!(oracle.build_count(), 0);
-        assert_eq!(oracle.heap_bytes(), 0);
         let clone_a = oracle.clone();
         let clone_b = oracle.clone();
-        // Interrogate the clones in any order: exactly one build.
+        // Interrogate the clones in any order: exactly one build, one
+        // shared matrix.
+        let shared = clone_a.matrix().expect("below threshold");
         for o in [&clone_a, &oracle, &clone_b] {
+            let m = o.matrix().expect("below threshold");
+            assert!(std::ptr::eq(m, shared), "clones must share the cache");
             for i in 0..4 {
                 for j in 0..4 {
                     assert_eq!(
-                        o.dist(i, j).to_bits(),
-                        Euclidean.distance(&points[i], &points[j]).to_bits()
-                    );
-                    assert_eq!(
-                        o.cmp_dist(i, j).to_bits(),
+                        m.get(i, j).to_bits(),
                         Euclidean.cmp_distance(&points[i], &points[j]).to_bits()
                     );
                 }
             }
         }
         assert_eq!(oracle.build_count(), 1);
-        assert_eq!(clone_b.build_count(), 1);
-        assert!(oracle.heap_bytes() > 0);
-        assert!(oracle.matrix().is_some());
-        assert_eq!(oracle.build_count(), 1, "matrix() must not rebuild");
+        assert_eq!(clone_b.build_count(), 1, "matrix() must not rebuild");
     }
 
     #[test]
     fn cached_oracle_above_threshold_stays_on_demand() {
         let points = pts(&[0.0, 3.0, 5.0]);
-        let oracle = CachedOracle::new(points.clone(), &Euclidean, 2);
+        let oracle = CachedOracle::new(points, &Euclidean, 2);
         assert!(oracle.matrix().is_none());
-        assert_eq!(oracle.dist(0, 2), 5.0);
         assert_eq!(oracle.build_count(), 0);
-        assert_eq!(oracle.heap_bytes(), 0);
     }
 
     #[test]
@@ -651,12 +523,12 @@ mod tests {
         // The counter is process-global and tests run concurrently, so only
         // lower bounds are asserted.
         let before = matrix_build_count();
-        let _ = DistanceMatrix::build(&pts(&[0.0, 1.0]), &Euclidean);
+        let _ = DistanceMatrix::build_cmp(&pts(&[0.0, 1.0]), &Euclidean);
         assert!(matrix_build_count() > before);
         let oracle = CachedOracle::new(pts(&[0.0, 1.0, 2.0]), &Euclidean, 10);
         let mid = matrix_build_count();
-        let _ = oracle.cmp_dist(0, 1);
-        let _ = oracle.cmp_dist(1, 2);
+        let _ = oracle.matrix();
+        let _ = oracle.clone().matrix();
         assert!(matrix_build_count() > mid);
         assert_eq!(oracle.build_count(), 1);
     }
@@ -664,7 +536,7 @@ mod tests {
     #[test]
     fn from_condensed_round_trips_without_counting_a_build() {
         let points = pts(&[0.0, 2.0, 7.0, -1.0]);
-        let m = DistanceMatrix::build(&points, &Euclidean);
+        let m = DistanceMatrix::build_cmp(&points, &Euclidean);
         let before = matrix_build_count();
         let rebuilt = DistanceMatrix::from_condensed(m.len(), m.condensed().to_vec());
         assert_eq!(
@@ -689,7 +561,7 @@ mod tests {
     #[test]
     fn from_shared_views_the_owner_without_copying() {
         let points = pts(&[0.0, 2.0, 7.0, -1.0]);
-        let owned = DistanceMatrix::build(&points, &Euclidean);
+        let owned = DistanceMatrix::build_cmp(&points, &Euclidean);
         let buffer: Arc<Vec<f64>> = Arc::new(owned.condensed().to_vec());
         let before = matrix_build_count();
         let shared = DistanceMatrix::from_shared(owned.len(), buffer.clone());
@@ -720,10 +592,10 @@ mod tests {
 
     #[test]
     fn distance_matrix_empty_and_singleton() {
-        let m = DistanceMatrix::build::<Point, _>(&[], &Euclidean);
+        let m = DistanceMatrix::build_cmp::<Point, _>(&[], &Euclidean);
         assert!(m.is_empty());
         assert_eq!(m.condensed().len(), 0);
-        let m1 = DistanceMatrix::build(&pts(&[1.0]), &Euclidean);
+        let m1 = DistanceMatrix::build_cmp(&pts(&[1.0]), &Euclidean);
         assert_eq!(m1.len(), 1);
         assert_eq!(m1.get(0, 0), 0.0);
     }

@@ -6,7 +6,9 @@
 //! Each property drives the four-lane block kernels against the
 //! trait-default scalar loops, over both owned `Point` slices and
 //! zero-copy `PointSet` views, and demands equality of raw bit patterns,
-//! not approximate agreement. Inputs deliberately include `-0.0`,
+//! not approximate agreement. It also pins the round trip matrix reads
+//! rely on: a cached proxy converted back with `cmp_to_distance` must be
+//! bitwise the metric's `distance`. Inputs deliberately include `-0.0`,
 //! subnormals, duplicate-heavy sets, and block lengths that are not a
 //! multiple of the lane count (remainder lanes).
 
@@ -54,9 +56,10 @@ fn arb_duplicate_heavy(dim: usize) -> impl Strategy<Value = Vec<Point>> {
 
 /// The parity oracle: `points[0]` is the query, the rest the block.
 ///
-/// Checks both block methods against the scalar trait defaults, on owned
+/// Checks the block method against the scalar trait default, on owned
 /// `Point`s and on `PointRef` views of a `PointSet` built from the same
-/// coordinates — four comparisons, all bitwise.
+/// coordinates, and checks that every proxy converts back to the scalar
+/// distance — all bitwise.
 fn check_parity<M>(metric: &M, points: &[Point]) -> Result<(), TestCaseError>
 where
     M: for<'a> Metric<PointRef<'a>> + Metric<Point>,
@@ -65,35 +68,35 @@ where
     let block = &points[1..];
     let n = block.len();
 
-    // Scalar reference: the point-at-a-time methods the defaults loop.
+    // Scalar reference: the point-at-a-time method the default loops.
     let mut cmp_ref = vec![0.0f64; n];
-    let mut dist_ref = vec![0.0f64; n];
     for (j, b) in block.iter().enumerate() {
         cmp_ref[j] = Metric::<Point>::cmp_distance(metric, query, b);
-        dist_ref[j] = Metric::<Point>::distance(metric, query, b);
     }
 
-    // Block kernels over the owned slice.
+    // Block kernel over the owned slice.
     let mut cmp_blk = vec![0.0f64; n];
     metric.cmp_distance_block(query, block, &mut cmp_blk);
-    let mut dist_blk = vec![0.0f64; n];
-    metric.distance_to_block(query, block, &mut dist_blk);
     for j in 0..n {
         prop_assert_eq!(cmp_blk[j].to_bits(), cmp_ref[j].to_bits());
-        prop_assert_eq!(dist_blk[j].to_bits(), dist_ref[j].to_bits());
     }
 
-    // The same kernels over zero-copy views of the SoA set.
+    // The same kernel over zero-copy views of the SoA set.
     let set = PointSet::from_points(points);
     let q = set.get(0);
     let refs: Vec<PointRef<'_>> = set.iter().skip(1).collect();
     let mut cmp_set = vec![0.0f64; n];
     metric.cmp_distance_block(&q, &refs, &mut cmp_set);
-    let mut dist_set = vec![0.0f64; n];
-    metric.distance_to_block(&q, &refs, &mut dist_set);
     for j in 0..n {
         prop_assert_eq!(cmp_set[j].to_bits(), cmp_ref[j].to_bits());
-        prop_assert_eq!(dist_set[j].to_bits(), dist_ref[j].to_bits());
+    }
+
+    // The round trip `CmpMatrixRef::dist` relies on: a proxy-matrix entry
+    // converted back is bitwise the metric's distance.
+    for (j, b) in block.iter().enumerate() {
+        let round_trip = Metric::<Point>::cmp_to_distance(metric, cmp_ref[j]);
+        let dist = Metric::<Point>::distance(metric, query, b);
+        prop_assert_eq!(round_trip.to_bits(), dist.to_bits());
     }
 
     Ok(())

@@ -1,6 +1,6 @@
 //! Property-based tests for the metric substrate.
 
-use kcenter_metric::pairwise::{all_pairwise_distances, diameter_bounds, min_positive_distance};
+use kcenter_metric::pairwise::diameter_bounds;
 use kcenter_metric::selection::{kth_largest, kth_smallest, radius_excluding_outliers};
 use kcenter_metric::{
     minimum_enclosing_ball, Chebyshev, CosineAngular, DistanceMatrix, Euclidean, Manhattan, Metric,
@@ -131,26 +131,17 @@ proptest! {
 
     #[test]
     fn distance_matrix_agrees_with_direct_computation(points in arb_points(2, 24)) {
-        let m = DistanceMatrix::build(&points, &Euclidean);
-        for i in 0..points.len() {
-            for j in 0..points.len() {
-                let expect = Euclidean.distance(&points[i], &points[j]);
-                prop_assert!((m.get(i, j) - expect).abs() < 1e-12);
-            }
-        }
-        let mut condensed: Vec<f64> = m.condensed().to_vec();
-        condensed.sort_by(f64::total_cmp);
-        let mut direct = all_pairwise_distances(&points, &Euclidean);
-        direct.sort_by(f64::total_cmp);
-        prop_assert_eq!(condensed, direct);
-    }
-
-    #[test]
-    fn min_positive_distance_is_a_lower_bound(points in arb_points(2, 24)) {
-        if let Some(min_d) = min_positive_distance(&points, &Euclidean) {
-            prop_assert!(min_d > 0.0);
-            for d in all_pairwise_distances(&points, &Euclidean) {
-                prop_assert!(d == 0.0 || d >= min_d - 1e-12);
+        let n = points.len();
+        let m = DistanceMatrix::build_cmp(&points, &Euclidean);
+        prop_assert_eq!(m.condensed().len(), n * (n - 1) / 2);
+        for i in 0..n {
+            for j in 0..n {
+                let expect = if i == j {
+                    0.0
+                } else {
+                    Euclidean.cmp_distance(&points[i], &points[j])
+                };
+                prop_assert_eq!(m.get(i, j).to_bits(), expect.to_bits());
             }
         }
     }
@@ -158,9 +149,12 @@ proptest! {
     #[test]
     fn diameter_bounds_hold(points in arb_points(2, 24)) {
         let (lo, hi) = diameter_bounds(&points, &Euclidean);
-        let true_diam = all_pairwise_distances(&points, &Euclidean)
-            .into_iter()
-            .fold(0.0, f64::max);
+        let mut true_diam = 0.0f64;
+        for (i, a) in points.iter().enumerate() {
+            for b in &points[i + 1..] {
+                true_diam = true_diam.max(Euclidean.distance(a, b));
+            }
+        }
         prop_assert!(lo <= true_diam + 1e-9);
         prop_assert!(hi >= true_diam - 1e-9);
     }

@@ -707,7 +707,7 @@ mod tests {
 
     #[test]
     fn truncation_is_a_clean_error_at_every_length() {
-        let m = DistanceMatrix::build(&pts(&[&[0.0], &[1.0], &[5.0]]), &Euclidean);
+        let m = DistanceMatrix::build_cmp(&pts(&[&[0.0], &[1.0], &[5.0]]), &Euclidean);
         let bytes = encode_matrix(&m);
         for cut in 0..bytes.len() {
             let err = decode_matrix(&bytes[..cut]).expect_err("truncated must fail");
@@ -721,7 +721,7 @@ mod tests {
 
     #[test]
     fn extended_file_is_rejected() {
-        let m = DistanceMatrix::build(&pts(&[&[0.0], &[1.0]]), &Euclidean);
+        let m = DistanceMatrix::build_cmp(&pts(&[&[0.0], &[1.0]]), &Euclidean);
         let mut bytes = encode_matrix(&m);
         bytes.push(0);
         assert_eq!(decode_matrix(&bytes), Err(DecodeError::Truncated));
@@ -729,7 +729,7 @@ mod tests {
 
     #[test]
     fn payload_corruption_fails_the_checksum() {
-        let m = DistanceMatrix::build(&pts(&[&[0.0], &[1.0], &[5.0]]), &Euclidean);
+        let m = DistanceMatrix::build_cmp(&pts(&[&[0.0], &[1.0], &[5.0]]), &Euclidean);
         let mut bytes = encode_matrix(&m);
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
@@ -738,7 +738,7 @@ mod tests {
 
     #[test]
     fn version_and_magic_mismatches_are_detected() {
-        let m = DistanceMatrix::build(&pts(&[&[0.0], &[1.0]]), &Euclidean);
+        let m = DistanceMatrix::build_cmp(&pts(&[&[0.0], &[1.0]]), &Euclidean);
         let good = encode_matrix(&m);
 
         let mut wrong_version = good.clone();
