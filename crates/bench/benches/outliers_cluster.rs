@@ -1,6 +1,6 @@
 //! Criterion microbenches for `OutliersCluster` — including the ablation
-//! of incremental ball-weight maintenance (O(|T|²)) against the textbook
-//! O(k·|T|²) recomputation.
+//! of the one-read-per-pair implementation (one upper-triangle pass, then
+//! bitset cover updates) against the textbook O(k·|T|²) recomputation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -22,7 +22,7 @@ fn coreset_fixture(size_mu: usize) -> (Vec<Point>, Vec<u64>) {
     (build.coreset.points_only(), build.coreset.weights())
 }
 
-fn bench_incremental_vs_naive(c: &mut Criterion) {
+fn bench_one_read_vs_naive(c: &mut Criterion) {
     let mut group = c.benchmark_group("outliers_cluster");
     group.sample_size(10);
     let (points, weights) = coreset_fixture(8); // |T| = 560
@@ -30,7 +30,7 @@ fn bench_incremental_vs_naive(c: &mut Criterion) {
     let matrix = CmpMatrixRef::<Point, _>::new(&cmp, &Euclidean);
     let (k, r, eps) = (20usize, 5.0f64, 0.25f64);
 
-    group.bench_function(BenchmarkId::new("incremental", points.len()), |b| {
+    group.bench_function(BenchmarkId::new("one_read", points.len()), |b| {
         b.iter(|| outliers_cluster(black_box(&matrix), &weights, k, r, eps));
     });
     group.bench_function(BenchmarkId::new("naive", points.len()), |b| {
@@ -60,7 +60,7 @@ fn bench_matrix_vs_points_oracle(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_incremental_vs_naive,
+    bench_one_read_vs_naive,
     bench_matrix_vs_points_oracle
 );
 criterion_main!(benches);

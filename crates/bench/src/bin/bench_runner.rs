@@ -4,7 +4,7 @@
 //! store-served vs re-written shards) and the serve-layer session
 //! registry (batched ingest throughput, query latency solver-path vs
 //! memoized) on the seeded `Power` workload and writes machine-readable
-//! `BENCH_pr15.json` — the perf trajectory's record. The JSON header
+//! `BENCH_pr16.json` — the perf trajectory's record. The JSON header
 //! also carries the hardware-thread count and a snapshot of the
 //! process metrics registry (`kcenter-obs`) after the run.
 //!
@@ -413,7 +413,7 @@ fn run_kernels(
     let cmp = DistanceMatrix::build_cmp(&cpoints, &Euclidean);
     let matrix = CmpMatrixRef::<Point, _>::new(&cmp, &Euclidean);
 
-    // Kernel 3: one OutliersCluster run (incremental ball weights).
+    // Kernel 3: one OutliersCluster run (one read per pair).
     let (r_guess, eps) = (5.0f64, 0.25f64);
     record_one(
         records,
@@ -716,7 +716,7 @@ fn main() {
         if smoke {
             "BENCH_smoke.json"
         } else {
-            "BENCH_pr15.json"
+            "BENCH_pr16.json"
         }
         .to_string()
     });

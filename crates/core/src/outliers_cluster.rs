@@ -9,10 +9,14 @@
 //!
 //! Two implementations are provided:
 //!
-//! * [`outliers_cluster`] — incremental ball-weight maintenance: ball
-//!   weights are computed once (`O(|T|²)` distance evaluations,
-//!   rayon-parallel) and *updated* as points become covered, so a full run
-//!   costs `O(|T|²)` instead of the naive `O(k·|T|²)`;
+//! * [`outliers_cluster`] — one read per pair: a single rayon pass over
+//!   the strict upper triangle reads every pair's proxy once, row by row,
+//!   and keeps the selection-ball relation as a bitset of `|T|·⌈|T|/64⌉`
+//!   words beside the initial ball weights. Each center then costs one
+//!   row read (its removal set `E_x`) and a bitset walk that subtracts the
+//!   removed weight from every ball holding it, instead of `|T|·|E_x|`
+//!   scattered distance lookups. A run makes `|T|(|T|−1)/2` distance reads
+//!   plus `k` row reads;
 //! * [`outliers_cluster_naive`] — the textbook loop, kept as the ablation
 //!   baseline and as a differential-testing oracle (both must return
 //!   identical results).
@@ -48,6 +52,11 @@ pub trait DistanceOracle: Sync {
     /// [`Metric::cmp_distance`]). Threshold scans call this together with
     /// [`DistanceOracle::radius_to_cmp`] so they skip the final `sqrt` of
     /// every evaluation.
+    ///
+    /// It must be **bitwise symmetric** (`cmp_dist(i, j)` and
+    /// `cmp_dist(j, i)` have the same bits) and exactly `0.0` on the
+    /// diagonal: [`outliers_cluster`] reads each pair once, with the lower
+    /// index first, and takes every point to be inside its own balls.
     fn cmp_dist(&self, i: usize, j: usize) -> f64;
 
     /// Batched [`DistanceOracle::cmp_dist`]: writes `cmp_dist(t, base + j)`
@@ -88,6 +97,10 @@ fn matrix_cmp_block(matrix: &DistanceMatrix, t: usize, base: usize, out: &mut [f
 
 /// A [`DistanceOracle`] that evaluates the metric on demand — no quadratic
 /// memory, used for coresets too large to cache.
+///
+/// The diagonal reads as `0.0` without evaluating the metric, as it does
+/// in a [`DistanceMatrix`]: [`kcenter_metric::CosineAngular`]'s rounding
+/// can give a vector a small positive angle to itself.
 pub struct PointsOracle<'a, P, M> {
     points: &'a [P],
     metric: &'a M,
@@ -172,11 +185,17 @@ impl<P: Sync, M: Metric<P>> DistanceOracle for PointsOracle<'_, P, M> {
 
     #[inline]
     fn dist(&self, i: usize, j: usize) -> f64 {
+        if i == j {
+            return 0.0;
+        }
         self.metric.distance(&self.points[i], &self.points[j])
     }
 
     #[inline]
     fn cmp_dist(&self, i: usize, j: usize) -> f64 {
+        if i == j {
+            return 0.0;
+        }
         self.metric.cmp_distance(&self.points[i], &self.points[j])
     }
 
@@ -185,6 +204,9 @@ impl<P: Sync, M: Metric<P>> DistanceOracle for PointsOracle<'_, P, M> {
     fn cmp_dist_block(&self, t: usize, base: usize, out: &mut [f64]) {
         let block = &self.points[base..base + out.len()];
         self.metric.cmp_distance_block(&self.points[t], block, out);
+        if let Some(diagonal) = t.checked_sub(base).and_then(|j| out.get_mut(j)) {
+            *diagonal = 0.0;
+        }
     }
 
     #[inline]
@@ -210,8 +232,157 @@ pub struct OutliersClusterResult {
     pub uncovered_weight: u64,
 }
 
-/// Runs `OutliersCluster(T, k, r, ε̂)` with incremental ball-weight
-/// maintenance.
+/// Bits per bitset word, and proxies per row read.
+const WORD: usize = 64;
+
+/// The selection-ball relation over the strict upper triangle: bit `v` of
+/// row `t` is set iff `t < v` and `cmp_dist(t, v) <= ball`. Each row is
+/// `words` words; bits at `v <= t` stay clear.
+struct BallBits {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl BallBits {
+    fn row(&self, t: usize) -> &[u64] {
+        &self.bits[t * self.words..(t + 1) * self.words]
+    }
+}
+
+/// Calls `f` with the position of every set bit of `word`, lowest first.
+#[inline]
+fn for_each_bit(mut word: u64, mut f: impl FnMut(usize)) {
+    while word != 0 {
+        f(word.trailing_zeros() as usize);
+        word &= word - 1;
+    }
+}
+
+/// Calls `f` with every set bit position of `row` in `lo..hi`.
+fn for_each_bit_in(row: &[u64], lo: usize, hi: usize, mut f: impl FnMut(usize)) {
+    if lo >= hi {
+        return;
+    }
+    let (first, last) = (lo / WORD, (hi - 1) / WORD);
+    for (wi, &word) in (first..=last).zip(&row[first..=last]) {
+        let mut word = word;
+        if wi == first {
+            word &= u64::MAX << (lo % WORD);
+        }
+        if wi == last {
+            word &= u64::MAX >> (WORD - 1 - (hi - 1) % WORD);
+        }
+        for_each_bit(word, |bit| f(wi * WORD + bit));
+    }
+}
+
+/// Row bounds `0 = b₀ < b₁ < … < bₘ = n` splitting the strict upper
+/// triangle into about `parts` row ranges of similar pair counts (row `t`
+/// holds `n − 1 − t` pairs).
+fn triangle_ranges(n: usize, parts: usize) -> Vec<usize> {
+    let per_part = (n * n.saturating_sub(1) / 2).div_ceil(parts.max(1)).max(1);
+    let mut bounds = vec![0];
+    let mut pairs = 0;
+    for t in 0..n {
+        pairs += n - 1 - t;
+        if pairs >= per_part || t + 1 == n {
+            bounds.push(t + 1);
+            pairs = 0;
+        }
+    }
+    bounds
+}
+
+/// The one pass over the strict upper triangle. Row `t`'s tail is read
+/// through `cmp_dist_block(t, t+1…)` — a condensed-row copy for a matrix,
+/// the block kernel with the lower index as the query for points, the
+/// order [`DistanceMatrix::build_cmp`] uses — and each proxy is tested
+/// against `ball_cmp` once. Returns the ball relation and every point's
+/// initial ball weight: its own weight when the diagonal's `0.0` passes
+/// the test, plus its row sum (`v > t`) and its column sum (`v < t`).
+///
+/// Rows are split into ranges of similar pair counts, one pool task
+/// each; every task keeps its own column sums. All sums are `u64`, so
+/// the weights do not depend on the split.
+fn ball_pass<O: DistanceOracle>(
+    oracle: &O,
+    weights: &[u64],
+    ball_cmp: f64,
+) -> (BallBits, Vec<u64>) {
+    let n = oracle.len();
+    let words = n.div_ceil(WORD);
+    let mut bits = vec![0u64; n * words];
+    let diagonal = 0.0 <= ball_cmp;
+    let mut ball_weight: Vec<u64> = weights
+        .iter()
+        .map(|&w| if diagonal { w } else { 0 })
+        .collect();
+
+    // One task per row range, owning its rows of the relation and of the
+    // weights.
+    let bounds = triangle_ranges(n, n.div_ceil(rayon::adaptive_chunk_len(n)));
+    let mut tasks = Vec::with_capacity(bounds.len());
+    let (mut bits_rest, mut weights_rest) = (bits.as_mut_slice(), ball_weight.as_mut_slice());
+    for range in bounds.windows(2) {
+        let rows = range[1] - range[0];
+        let (task_bits, rest) = std::mem::take(&mut bits_rest).split_at_mut(rows * words);
+        bits_rest = rest;
+        let (task_weights, rest) = std::mem::take(&mut weights_rest).split_at_mut(rows);
+        weights_rest = rest;
+        tasks.push((range[0], task_bits, task_weights));
+    }
+
+    let column_sums: Vec<Vec<u64>> = tasks
+        .into_par_iter()
+        .map(|(start, task_bits, task_weights)| {
+            // cols[v - start]: the weight of this range's rows t < v whose
+            // ball holds v.
+            let mut cols = vec![0u64; n - start];
+            let mut buf = [0.0f64; WORD];
+            let rows = task_bits.chunks_exact_mut(words).zip(task_weights);
+            for (j, (row, ball)) in rows.enumerate() {
+                let t = start + j;
+                let wt = weights[t];
+                // One read per bitset word, the word built in a register.
+                let mut lo = t + 1;
+                while lo < n {
+                    let hi = n.min((lo / WORD + 1) * WORD);
+                    oracle.cmp_dist_block(t, lo, &mut buf[..hi - lo]);
+                    let mut word = 0u64;
+                    for (i, ((&d, &wv), col)) in buf[..hi - lo]
+                        .iter()
+                        .zip(&weights[lo..hi])
+                        .zip(&mut cols[lo - start..hi - start])
+                        .enumerate()
+                    {
+                        let inside = (d <= ball_cmp) as u64;
+                        let keep = inside.wrapping_neg();
+                        word |= inside << (lo % WORD + i);
+                        *ball += wv & keep;
+                        *col += wt & keep;
+                    }
+                    row[lo / WORD] = word;
+                    lo = hi;
+                }
+            }
+            cols
+        })
+        .collect();
+
+    for (cols, &start) in column_sums.iter().zip(&bounds) {
+        for (w, &c) in ball_weight[start..].iter_mut().zip(cols) {
+            *w += c;
+        }
+    }
+    (BallBits { words, bits }, ball_weight)
+}
+
+/// Runs `OutliersCluster(T, k, r, ε̂)` with one read per pair: one upper-
+/// triangle pass builds the ball relation and the initial ball weights,
+/// and each center's cover update reads bits (see the module docs).
+///
+/// The oracle must be bitwise symmetric with a zero diagonal (see
+/// [`DistanceOracle::cmp_dist`]); both oracles in this module are.
 ///
 /// # Panics
 ///
@@ -232,51 +403,28 @@ pub fn outliers_cluster<O: DistanceOracle>(
         "radius and eps must be non-negative"
     );
 
-    // Thresholds on the oracle's comparison scale: every O(n²) scan below
-    // tests `cmp_dist <= cmp-threshold`, sqrt-free for metric oracles.
+    // Thresholds on the oracle's comparison scale: every scan below tests
+    // `cmp_dist <= cmp-threshold`, sqrt-free for metric oracles.
     let ball_cmp = oracle.radius_to_cmp((1.0 + 2.0 * eps_hat) * r);
     let cover_cmp = oracle.radius_to_cmp((3.0 + 4.0 * eps_hat) * r);
+    let diagonal = 0.0 <= ball_cmp;
 
-    let mut covered = vec![false; n];
+    let (ball, mut ball_weight) = ball_pass(oracle, weights, ball_cmp);
+
+    // Uncovered points as bits, and `E_x`, the points the current center
+    // removes.
+    let words = ball.words;
+    let mut uncovered = vec![u64::MAX; words];
+    if let Some(last) = uncovered.last_mut() {
+        *last >>= words * WORD - n;
+    }
     let mut uncovered_count = n;
+    let mut removed_bits = vec![0u64; words];
 
-    // Balls per parallel chunk: each ball costs an `O(|T|)` inner scan, so
-    // the pool's adaptive splitter decides the granularity (it splits
-    // finer while steals are observed, coarser once workers saturate).
-    // Any positive chunk length yields identical results: writes are
-    // per-element and `base` tracks the chosen length.
+    // Any positive chunk lengths yield identical results: writes are per
+    // element and the bases track the chosen lengths.
     let ball_chunk = rayon::adaptive_chunk_len(n);
-
-    // Initial ball weights over all (uncovered) points: O(n²), chunked for
-    // the pool. Each ball's inner scan reads the oracle's batched proxies
-    // in stack sub-blocks — the block kernels for point-backed oracles,
-    // condensed-row copies for matrix-backed ones — and tests them against
-    // `ball_cmp`, bit-identical to the scalar `cmp_dist(t, v) <= ball_cmp`.
-    const SUB: usize = 256;
-    let mut ball_weight: Vec<u64> = vec![0; n];
-    ball_weight
-        .par_chunks_mut(ball_chunk)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let base = ci * ball_chunk;
-            let mut buf = [0.0f64; SUB];
-            for (j, w) in chunk.iter_mut().enumerate() {
-                let t = base + j;
-                let mut acc = 0u64;
-                let mut off = 0;
-                while off < n {
-                    let len = SUB.min(n - off);
-                    oracle.cmp_dist_block(t, off, &mut buf[..len]);
-                    for (&d, &weight) in buf[..len].iter().zip(&weights[off..off + len]) {
-                        if d <= ball_cmp {
-                            acc += weight;
-                        }
-                    }
-                    off += len;
-                }
-                *w = acc;
-            }
-        });
+    let word_chunk = rayon::adaptive_chunk_len(words);
 
     let mut centers = Vec::new();
     while centers.len() < k && uncovered_count > 0 {
@@ -290,40 +438,84 @@ pub fn outliers_cluster<O: DistanceOracle>(
             .expect("nonempty coreset");
         centers.push(x);
 
-        // E_x: uncovered points within the expanded radius.
-        let removed: Vec<usize> = (0..n)
-            .into_par_iter()
-            .filter(|&v| !covered[v] && oracle.cmp_dist(x, v) <= cover_cmp)
-            .collect();
-        for &v in &removed {
-            covered[v] = true;
+        // E_x: one read of row x, over the words that still hold an
+        // uncovered point.
+        removed_bits
+            .par_chunks_mut(word_chunk)
+            .enumerate()
+            .for_each(|(ci, chunk)| {
+                let mut buf = [0.0f64; WORD];
+                for (j, out) in chunk.iter_mut().enumerate() {
+                    let wi = ci * word_chunk + j;
+                    *out = 0;
+                    if uncovered[wi] == 0 {
+                        continue;
+                    }
+                    let lo = wi * WORD;
+                    let len = WORD.min(n - lo);
+                    oracle.cmp_dist_block(x, lo, &mut buf[..len]);
+                    for (i, &d) in buf[..len].iter().enumerate() {
+                        *out |= ((d <= cover_cmp) as u64) << i;
+                    }
+                    *out &= uncovered[wi];
+                }
+            });
+        let mut removed = Vec::new();
+        let mut removed_words = Vec::new();
+        for (wi, (&gone, open)) in removed_bits.iter().zip(&mut uncovered).enumerate() {
+            if gone != 0 {
+                *open &= !gone;
+                removed_words.push(wi);
+                for_each_bit(gone, |bit| removed.push(wi * WORD + bit));
+            }
         }
         uncovered_count -= removed.len();
+        if centers.len() == k || uncovered_count == 0 {
+            // No further argmax reads the ball weights.
+            break;
+        }
 
-        // Subtract the removed points' weights from every ball containing
-        // them. Each point is removed exactly once, so the total update work
-        // over the whole run is O(n²).
+        // Subtract the removed points' weights from every ball holding
+        // them, reading the relation's bits.
         ball_weight
             .par_chunks_mut(ball_chunk)
             .enumerate()
             .for_each(|(ci, chunk)| {
-                let base = ci * ball_chunk;
+                let a = ci * ball_chunk;
+                let b = a + chunk.len();
+                // v > t: row t ANDed with E_x.
                 for (j, w) in chunk.iter_mut().enumerate() {
-                    let t = base + j;
-                    for &v in &removed {
-                        if oracle.cmp_dist(t, v) <= ball_cmp {
-                            *w -= weights[v];
-                        }
+                    let t = a + j;
+                    let row = ball.row(t);
+                    let from = removed_words.partition_point(|&wi| wi < t / WORD);
+                    let mut sub = 0u64;
+                    for &wi in &removed_words[from..] {
+                        for_each_bit(row[wi] & removed_bits[wi], |bit| {
+                            sub += weights[wi * WORD + bit];
+                        });
                     }
+                    *w -= sub;
+                }
+                // v < t: each removed point's own row over this chunk's
+                // columns; v == t: the diagonal.
+                for &v in &removed[..removed.partition_point(|&v| v < b)] {
+                    let wv = weights[v];
+                    if diagonal && v >= a {
+                        chunk[v - a] -= wv;
+                    }
+                    for_each_bit_in(ball.row(v), a.max(v + 1), b, |t| chunk[t - a] -= wv);
                 }
             });
     }
 
-    let uncovered: Vec<usize> = (0..n).filter(|&v| !covered[v]).collect();
-    let uncovered_weight = uncovered.iter().map(|&v| weights[v]).sum();
+    let mut uncovered_points = Vec::with_capacity(uncovered_count);
+    for (wi, &open) in uncovered.iter().enumerate() {
+        for_each_bit(open, |bit| uncovered_points.push(wi * WORD + bit));
+    }
+    let uncovered_weight = uncovered_points.iter().map(|&v| weights[v]).sum();
     OutliersClusterResult {
         centers,
-        uncovered,
+        uncovered: uncovered_points,
         uncovered_weight,
     }
 }
@@ -347,7 +539,7 @@ pub fn outliers_cluster_naive<O: DistanceOracle>(
         "radius and eps must be non-negative"
     );
 
-    // Same comparison rule as the incremental implementation: proxy scale.
+    // Same comparison rule as the one-read implementation: proxy scale.
     let ball_cmp = oracle.radius_to_cmp((1.0 + 2.0 * eps_hat) * r);
     let cover_cmp = oracle.radius_to_cmp((3.0 + 4.0 * eps_hat) * r);
 
@@ -532,6 +724,19 @@ mod tests {
                     points_oracle.dist(i, j).to_bits(),
                     "dist mismatch at ({i},{j})"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn triangle_ranges_cover_every_row_once() {
+        for n in [0usize, 1, 2, 5, 64, 1000] {
+            for parts in [1usize, 2, 3, 32] {
+                let bounds = triangle_ranges(n, parts);
+                assert_eq!(bounds[0], 0);
+                assert_eq!(bounds[bounds.len() - 1], n, "n={n} parts={parts}");
+                assert!(bounds.windows(2).all(|w| w[0] < w[1]));
+                assert!(bounds.len() <= parts + 2, "n={n} parts={parts}: {bounds:?}");
             }
         }
     }

@@ -6,7 +6,7 @@ use kcenter_core::brute_force::{optimal_kcenter, optimal_kcenter_outliers};
 use kcenter_core::coreset::{build_weighted_coreset, CoresetSpec};
 use kcenter_core::gmm::gmm_select;
 use kcenter_core::outliers_cluster::{
-    outliers_cluster, outliers_cluster_naive, CmpMatrixRef, DistanceOracle, PointsOracle,
+    outliers_cluster, CmpMatrixRef, DistanceOracle, PointsOracle,
 };
 use kcenter_core::radius_search::{find_min_feasible_radius, solve_coreset_cached, SearchMode};
 use kcenter_core::solution::{radius, radius_with_outliers};
@@ -140,25 +140,6 @@ proptest! {
             "uncovered {} > z = {z} at r = r* = {opt}",
             result.uncovered_weight
         );
-    }
-
-    /// The incremental and naive OutliersCluster implementations agree
-    /// exactly on arbitrary weighted instances.
-    #[test]
-    fn outliers_cluster_implementations_agree(
-        points in arb_points(2, 2, 24),
-        weights_seed in prop::collection::vec(1u64..20, 24),
-        k in 1usize..5,
-        r in 0.0..250.0f64,
-        eps_hat in 0.0..1.0f64,
-    ) {
-        let weights: Vec<u64> = points.iter().enumerate()
-            .map(|(i, _)| weights_seed[i % weights_seed.len()])
-            .collect();
-        let oracle = PointsOracle::new(&points, &Euclidean);
-        let fast = outliers_cluster(&oracle, &weights, k, r, eps_hat);
-        let naive = outliers_cluster_naive(&oracle, &weights, k, r, eps_hat);
-        prop_assert_eq!(fast, naive);
     }
 
     /// Uncovered points returned by the cover really are far from all

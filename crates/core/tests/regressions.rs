@@ -194,3 +194,37 @@ fn lazy_cached_oracle_search_on_a_pool_does_not_deadlock() {
          (does solve_coreset_cached still resolve the cache before any scan?)",
     );
 }
+
+/// The two oracles must agree on the diagonal. `CosineAngular` gives
+/// `[1, 2]` a positive angle to itself (about 2.1e-8: √5·√5 rounds above
+/// 5), and the on-demand `PointsOracle` used to evaluate it where the
+/// cached matrix reads 0. At `r = 0` the point then fell outside its own
+/// ball, so a one-point coreset solved above the cache threshold reported
+/// `r_min = 0` with its whole weight uncovered, more than `z`.
+#[test]
+fn points_oracle_reads_a_zero_diagonal_under_cosine() {
+    use kcenter_core::coreset::{WeightedCoreset, WeightedPoint};
+    use kcenter_core::radius_search::{solve_coreset, SearchMode};
+    use kcenter_metric::{CosineAngular, Metric};
+
+    let point = Point::new(vec![1.0, 2.0]);
+    assert!(CosineAngular.distance(&point, &point) > 0.0);
+    let coreset: WeightedCoreset<Point> =
+        std::iter::once(WeightedPoint { point, weight: 5 }).collect();
+    for threshold in [0, 10] {
+        let solution = solve_coreset(
+            &coreset,
+            &CosineAngular,
+            1,
+            0,
+            0.25,
+            SearchMode::GeometricGrid,
+            threshold,
+        );
+        assert_eq!(solution.r_min, 0.0, "threshold {threshold}");
+        assert_eq!(
+            solution.uncovered_weight, 0,
+            "threshold {threshold}: a point must lie in its own ball"
+        );
+    }
+}

@@ -8,7 +8,9 @@
 //! zero-copy `PointSet` views, and demands equality of raw bit patterns,
 //! not approximate agreement. It also pins the round trip matrix reads
 //! rely on: a cached proxy converted back with `cmp_to_distance` must be
-//! bitwise the metric's `distance`. Inputs deliberately include `-0.0`,
+//! bitwise the metric's `distance`; and the symmetry `OutliersCluster`'s
+//! one read per pair relies on: `cmp(a, b)` and `cmp(b, a)` have the same
+//! bits, scalar and block. Inputs deliberately include `-0.0`,
 //! subnormals, duplicate-heavy sets, and block lengths that are not a
 //! multiple of the lane count (remainder lanes).
 
@@ -102,6 +104,47 @@ where
     Ok(())
 }
 
+/// Bitwise symmetry, `cmp(a, b) == cmp(b, a)`, of the scalar method and
+/// of the block kernel for every ordered pair of `points`. The
+/// upper-triangle pass of `OutliersCluster` reads each pair once, with
+/// the lower index as the query, and relies on it.
+fn check_symmetry<M: Metric<Point>>(metric: &M, points: &[Point]) -> Result<(), TestCaseError> {
+    let n = points.len();
+    let rows: Vec<Vec<f64>> = points
+        .iter()
+        .map(|q| {
+            let mut row = vec![0.0f64; n];
+            metric.cmp_distance_block(q, points, &mut row);
+            row
+        })
+        .collect();
+    for i in 0..n {
+        for j in 0..n {
+            let (ab, ba) = (
+                metric.cmp_distance(&points[i], &points[j]),
+                metric.cmp_distance(&points[j], &points[i]),
+            );
+            prop_assert!(
+                ab.to_bits() == ba.to_bits(),
+                "scalar ({i}, {j}): {ab:e} vs {ba:e}"
+            );
+            let (ab, ba) = (rows[i][j], rows[j][i]);
+            prop_assert!(
+                ab.to_bits() == ba.to_bits(),
+                "block ({i}, {j}): {ab:e} vs {ba:e}"
+            );
+        }
+    }
+    Ok(())
+}
+
+fn check_symmetry_all_metrics(points: &[Point]) -> Result<(), TestCaseError> {
+    check_symmetry(&Euclidean, points)?;
+    check_symmetry(&Manhattan, points)?;
+    check_symmetry(&Chebyshev, points)?;
+    check_symmetry(&CosineAngular, points)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -145,6 +188,23 @@ proptest! {
     }
 
     #[test]
+    fn cmp_distance_is_bitwise_symmetric(
+        points in arb_points(50, 12),
+        duplicates in arb_duplicate_heavy(7),
+        dim_index in 0usize..3,
+    ) {
+        // 1, 7 or 50 coordinates of each point; blocks of 2–11 points
+        // leave every remainder-lane count.
+        let dim = [1, 7, 50][dim_index];
+        let truncated: Vec<Point> = points
+            .iter()
+            .map(|p| Point::new(p.coords()[..dim].to_vec()))
+            .collect();
+        check_symmetry_all_metrics(&truncated)?;
+        check_symmetry_all_metrics(&duplicates)?;
+    }
+
+    #[test]
     fn single_point_blocks_and_dimension_one(points in arb_points(1, 4)) {
         // The degenerate shapes: dim-1 points, blocks of length 1-2 (all
         // remainder, no full four-lane group).
@@ -156,7 +216,7 @@ proptest! {
 /// Remainder lanes, pinned deterministically: block lengths 1..=9 cover
 /// zero, one and two full four-lane groups with every remainder, from 1-d
 /// up to the 50-d points the serve benchmark streams and round 1 scans
-/// in full.
+/// in full. The same sets pin the symmetry of every metric.
 #[test]
 fn every_remainder_lane_is_bitwise_identical() {
     let palette = [
@@ -173,6 +233,8 @@ fn every_remainder_lane_is_bitwise_identical() {
                     )
                 })
                 .collect();
+            check_symmetry_all_metrics(&points)
+                .unwrap_or_else(|e| panic!("dim={dim} n={n}: {e:?}"));
             let query = points[0].coords();
             let block = &points[1..];
             for kind in [

@@ -346,3 +346,59 @@ fn report_json_carries_the_metrics_snapshot() {
     );
     assert!(worker_counter("full_scans") < 2 * tau);
 }
+
+/// The radius search's probe count reaches the JSON report: an in-process
+/// `mr-outliers` run solves its coreset union with a binary search, which
+/// probes `OutliersCluster` at `r = 0`, at the top of the grid and at
+/// least once more in between.
+#[test]
+fn report_json_counts_radius_search_evaluations() {
+    let data = temp_path("dataset-search.csv");
+    let data_str = data.to_string_lossy().into_owned();
+    run_kcenter(&[
+        "generate",
+        "--dataset",
+        "higgs",
+        "--n",
+        "3000",
+        "--outliers",
+        "10",
+        "--seed",
+        "3",
+        "--output",
+        &data_str,
+    ]);
+    let out = run_kcenter(&[
+        "cluster",
+        "--input",
+        &data_str,
+        "--k",
+        "5",
+        "--z",
+        "10",
+        "--algo",
+        "mr-outliers",
+        "--ell",
+        "2",
+        "--cache-dir",
+        "",
+        "--report",
+        "json",
+    ]);
+    let line = out
+        .lines()
+        .find(|l| l.starts_with('{'))
+        .unwrap_or_else(|| panic!("no JSON report line in:\n{out}"));
+    let report = parse(line).unwrap_or_else(|e| panic!("report does not parse: {e}\n{line}"));
+    let evaluations = report
+        .get("metrics")
+        .and_then(|m| m.get("metrics"))
+        .and_then(Json::as_array)
+        .expect("metrics array")
+        .iter()
+        .find(|m| m.get("name").and_then(Json::as_str) == Some("core.radius_search.evaluations"))
+        .and_then(|m| m.get("value"))
+        .and_then(Json::as_u64)
+        .expect("core.radius_search.evaluations counter in the report");
+    assert!(evaluations >= 3, "evaluations = {evaluations}");
+}
