@@ -3,8 +3,9 @@
 //! sweeps) plus the multi-process executor (warm vs cold worker fleet,
 //! store-served vs re-written shards) and the serve-layer session
 //! registry (batched ingest throughput, query latency solver-path vs
-//! memoized) on the seeded `Power` workload and writes machine-readable
-//! `BENCH_pr16.json` — the perf trajectory's record. The JSON header
+//! memoized) and the executor's data path (shard checksum and
+//! fingerprint) on the seeded `Power` workload and writes machine-readable
+//! `BENCH_pr17.json` — the perf trajectory's record. The JSON header
 //! also carries the hardware-thread count and a snapshot of the
 //! process metrics registry (`kcenter-obs`) after the run.
 //!
@@ -29,7 +30,9 @@
 //! amortization), and content-addressed store-served shards versus
 //! work-dir re-sharding; the header pins that every warm sample performed
 //! **zero** shard writes. The binary re-invokes itself in a hidden
-//! `exec-worker` mode as the fleet's worker process.
+//! `exec-worker` mode as the fleet's worker process. The data-path rows
+//! pair the word-wise checksum and fingerprint kernels with bench-local
+//! copies of the byte-at-a-time FNV-1a loops they replaced.
 //!
 //! Every number comes from the criterion shim's measurement kernel
 //! (warmup, N samples, MAD-based outlier rejection, median of survivors)
@@ -603,6 +606,125 @@ fn run_exec_rows(warmup: usize, samples: usize, records: &mut Vec<Record>) -> Ex
     }
 }
 
+/// The store codec's v1 payload checksum, kept here as the "before" arm
+/// of the `payload_checksum` pair: byte-at-a-time FNV-1a with a SplitMix64
+/// finish.
+fn checksum_fnv_bytes(bytes: &[u8]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    splitmix_finish(h)
+}
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+fn splitmix_finish(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// The v1 `Fingerprint`, kept here as the "before" arm of the
+/// `shard_fingerprint` pair: two FNV-1a lanes stepped one byte at a time,
+/// lane B also mixing the running length.
+struct FingerprintFnvBytes {
+    lane_a: u64,
+    lane_b: u64,
+    len: u64,
+}
+
+impl FingerprintFnvBytes {
+    fn with_domain(domain: &str) -> Self {
+        let mut fp = FingerprintFnvBytes {
+            lane_a: 0xCBF2_9CE4_8422_2325,
+            lane_b: 0x9E37_79B9_7F4A_7C15,
+            len: 0,
+        };
+        fp.write_u64(domain.len() as u64);
+        fp.write_bytes(domain.as_bytes());
+        fp
+    }
+
+    fn write_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.lane_a = (self.lane_a ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            self.lane_b = (self.lane_b ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            self.lane_b ^= self.len.rotate_left(17);
+            self.len = self.len.wrapping_add(1);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.write_bytes(&v.to_le_bytes());
+    }
+
+    fn write_f64s(&mut self, vs: &[f64]) {
+        self.write_u64(vs.len() as u64);
+        for &v in vs {
+            self.write_u64(v.to_bits());
+        }
+    }
+
+    fn finish(&self) -> u128 {
+        let hi = splitmix_finish(self.lane_a ^ self.len.rotate_left(32));
+        let lo = splitmix_finish(self.lane_b.wrapping_add(self.len));
+        (u128::from(hi) << 64) | u128::from(lo)
+    }
+}
+
+/// Data-path rows: the coordinator's per-job work outside the workers,
+/// on one shard of the fleet benchmarks' size (100k 7-d points, a
+/// 5.6 MB payload). `payload_checksum` is the codec's XXH64 over the
+/// shard payload, paired (ABBA) with the v1 FNV-1a byte loop;
+/// `shard_fingerprint` is the executor's shard key (domain, count, each
+/// point's length-prefixed coordinates) with the word-wise
+/// `Fingerprint`, paired with the v1 byte-wise builder. Fixed size in
+/// every profile: these costs scale with the shard, not with `--n`.
+fn run_data_path_rows(warmup: usize, samples: usize, records: &mut Vec<Record>) {
+    use kcenter_metric::fingerprint::checksum64;
+    use kcenter_store::codec::{self, HEADER_LEN};
+
+    let n = 100_000usize;
+    let points = Dataset::Power.generate(n, FIXTURE_DATASET_SEED);
+    let entry = codec::encode_shard(&points);
+    let payload = &entry[HEADER_LEN..];
+    let run = (warmup, samples, 1);
+    record_pair(
+        records,
+        run,
+        "Power",
+        n,
+        payload.len() as u64,
+        ("payload_checksum", || checksum64(payload)),
+        ("payload_checksum_fnv_bytes", || checksum_fnv_bytes(payload)),
+    );
+    let words = points.iter().map(|p| 1 + p.dim() as u64).sum::<u64>();
+    record_pair(
+        records,
+        run,
+        "Power",
+        n,
+        words,
+        ("shard_fingerprint", || {
+            let mut fp = kcenter_metric::Fingerprint::with_domain("kcenter-exec/shard/v1");
+            fp.write_usize(points.len());
+            for p in &points {
+                fp.write_f64s(p.coords());
+            }
+            fp.finish()
+        }),
+        ("shard_fingerprint_fnv_bytes", || {
+            let mut fp = FingerprintFnvBytes::with_domain("kcenter-exec/shard/v1");
+            fp.write_u64(points.len() as u64);
+            for p in &points {
+                fp.write_f64s(p.coords());
+            }
+            fp.finish()
+        }),
+    );
+}
+
 /// Serve rows: session-ingest throughput through the registry's bounded
 /// channel and per-query latency on a live session — the solver path
 /// versus the per-session answer memo, paired (ABBA). The two query arms
@@ -716,7 +838,7 @@ fn main() {
         if smoke {
             "BENCH_smoke.json"
         } else {
-            "BENCH_pr16.json"
+            "BENCH_pr17.json"
         }
         .to_string()
     });
@@ -758,6 +880,9 @@ fn main() {
     eprintln!("executor (process-level):");
     let exec_accounting = run_exec_rows(warmup, samples, &mut records);
 
+    eprintln!("data path (shard checksum and fingerprint):");
+    run_data_path_rows(warmup, samples, &mut records);
+
     eprintln!("serve (session registry):");
     run_serve_rows(warmup, samples, &mut records);
 
@@ -785,7 +910,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"note\": \"median over {samples} samples after {warmup} warmup runs, MAD outlier rejection; threads=1 is the sequential reference (inline execution, no pool overhead); distance_matrix_build* rows build the proxy-scale DistanceMatrix::build_cmp matrix that CachedOracle caches, and outliers_cluster/radius_search_grid read it through CmpMatrixRef, the oracle solve_coreset_cached runs below the cache threshold; *_scalar_loop rows withhold the block kernel (the trait's per-point loop runs instead), paired ABBA against the block-kernel rows; gmm_select_proxied/gmm_select_sqrt_before and gmm_coreset_pruned/gmm_coreset_unpruned are ABBA pairs over the same PointRef layout, isolating the sqrt-free proxy and round-1 cluster pruning; a multi-thread scaling row appears only when the machine has >1 hardware thread; exec_* rows are paired ABBA too — warm_fleet reuses one persistent WorkerFleet across samples vs a fresh fleet per run, shards_reused serves content-addressed store shards (exec_warm_shard_writes pins 0 writes per warm sample) vs work-dir re-sharding\","
+        "  \"note\": \"median over {samples} samples after {warmup} warmup runs, MAD outlier rejection; threads=1 is the sequential reference (inline execution, no pool overhead); distance_matrix_build* rows build the proxy-scale DistanceMatrix::build_cmp matrix that CachedOracle caches, and outliers_cluster/radius_search_grid read it through CmpMatrixRef, the oracle solve_coreset_cached runs below the cache threshold; *_scalar_loop rows withhold the block kernel (the trait's per-point loop runs instead), paired ABBA against the block-kernel rows; gmm_select_proxied/gmm_select_sqrt_before and gmm_coreset_pruned/gmm_coreset_unpruned are ABBA pairs over the same PointRef layout, isolating the sqrt-free proxy and round-1 cluster pruning; a multi-thread scaling row appears only when the machine has >1 hardware thread; exec_* rows are paired ABBA too — warm_fleet reuses one persistent WorkerFleet across samples vs a fresh fleet per run, shards_reused serves content-addressed store shards (exec_warm_shard_writes pins 0 writes per warm sample) vs work-dir re-sharding; payload_checksum (XXH64 over a 100k x 7-d shard payload, ops = bytes) and shard_fingerprint (word-wise Fingerprint of the same shard's key, ops = words) are ABBA pairs against bench-local copies of the v1 byte-at-a-time FNV-1a loops (*_fnv_bytes)\","
     );
     json.push_str("  \"records\": [\n");
     let lines: Vec<String> = records.iter().map(json_record).collect();

@@ -42,6 +42,9 @@ use crate::outliers_cluster::{
 /// `i32`. A much smaller `ε̂` can overflow the exponent.
 pub const MIN_EPS_HAT: f64 = 1e-5;
 
+/// The smallest positive `f64` (a subnormal): the least radius above 0.
+const SMALLEST_POSITIVE_RADIUS: f64 = f64::from_bits(1);
+
 /// Process-wide count of the `OutliersCluster` probes the radius search
 /// has run, in the shared metrics registry as
 /// `core.radius_search.evaluations`: the sum of every search's
@@ -92,7 +95,17 @@ impl Candidates {
     fn get(&self, i: usize) -> f64 {
         match self {
             Candidates::Listed(all) => all[i],
-            Candidates::Grid { r_lo, delta, .. } => r_lo * (1.0 + delta).powi(i as i32),
+            Candidates::Grid { r_lo, delta, .. } => {
+                let growth = (1.0 + delta).powi(i as i32);
+                if growth.is_finite() {
+                    r_lo * growth
+                } else {
+                    // `(1+δ)^i` overflows only when `r_hi/r_lo` nears
+                    // `f64::MAX` — a grid from a subnormal `r_lo`. The
+                    // product may still be finite: take it in log space.
+                    (r_lo.log2() + i as f64 * (1.0 + delta).log2()).exp2()
+                }
+            }
         }
     }
 }
@@ -170,7 +183,11 @@ pub fn find_min_feasible_radius<O: DistanceOracle>(
                 "geometric grid needs eps_hat >= {MIN_EPS_HAT:e}"
             );
             let delta = eps_hat / (3.0 + 4.0 * eps_hat);
-            let r_lo = min_positive_distance(oracle).map(|d| d / cover_factor);
+            // A subnormal minimum distance can underflow `d/(3+4ε̂)` to 0.
+            // No radius lies strictly between 0 (infeasible, probed above)
+            // and the smallest positive f64, so the grid starts there.
+            let r_lo = min_positive_distance(oracle)
+                .map(|d| (d / cover_factor).max(SMALLEST_POSITIVE_RADIUS));
             match r_lo {
                 // All points identical; r = 0 handled above.
                 None => Candidates::Listed(Vec::new()),
@@ -185,7 +202,15 @@ pub fn find_min_feasible_radius<O: DistanceOracle>(
                                 .map(|j| oracle.cmp_dist(0, j))
                                 .reduce(|| 0.0, f64::max),
                         );
-                    let steps = ((r_hi / r_lo).ln() / (1.0 + delta).ln()).ceil() as usize + 1;
+                    // From a subnormal `r_lo` the ratio itself can
+                    // overflow; its logarithm cannot.
+                    let ratio = r_hi / r_lo;
+                    let span = if ratio.is_finite() {
+                        ratio.ln()
+                    } else {
+                        r_hi.ln() - r_lo.ln()
+                    };
+                    let steps = (span / (1.0 + delta).ln()).ceil() as usize + 1;
                     Candidates::Grid {
                         r_lo,
                         delta,
@@ -217,8 +242,9 @@ pub fn find_min_feasible_radius<O: DistanceOracle>(
         Some(result) => best = Some((candidates.get(hi), result)),
         None => {
             // Should not happen (diameter covers all), but stay defensive:
-            // extend upward geometrically until feasible.
-            let mut r = candidates.get(hi) * 2.0;
+            // extend upward geometrically, from a positive radius, until
+            // feasible.
+            let mut r = candidates.get(hi).max(SMALLEST_POSITIVE_RADIUS) * 2.0;
             loop {
                 if let Some(result) = feasible(r) {
                     return RadiusSearchResult {

@@ -228,3 +228,33 @@ fn points_oracle_reads_a_zero_diagonal_under_cosine() {
         );
     }
 }
+
+/// A subnormal minimum distance used to hang the grid search. On
+/// Manhattan `{0, 5e-324, 1, 2, 3}` the grid's lower end
+/// `d_min/(3+4ε̂)` underflowed to 0, the step count overflowed to a
+/// one-candidate grid at radius 0, and the upward extension doubled
+/// `r = 0` forever. The grid now starts at the smallest positive `f64`
+/// and sizes itself in log space. The run is joined with a timeout, so a
+/// regression fails here instead of wedging the suite.
+#[test]
+fn subnormal_minimum_distance_does_not_hang_the_grid_search() {
+    use kcenter_core::coreset::CoresetSpec;
+    use kcenter_core::mapreduce_outliers::{mr_kcenter_outliers, MrOutliersConfig};
+    use kcenter_core::solution::radius_with_outliers;
+    use kcenter_metric::Manhattan;
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let points = pts(&[0.0, 5e-324, 1.0, 2.0, 3.0]);
+        let config = MrOutliersConfig::deterministic(1, 1, 2, CoresetSpec::Multiplier { mu: 2 });
+        let result = mr_kcenter_outliers(&points, &Manhattan, &config).expect("valid input");
+        let objective = radius_with_outliers(&points, &result.clustering.centers, 1, &Manhattan);
+        tx.send((result.clustering.radius, objective))
+            .expect("main test thread gone");
+    });
+    let (radius, objective) = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("radius search over a subnormal minimum distance did not return");
+    assert!(radius.is_finite(), "radius {radius}");
+    assert_eq!(radius.to_bits(), objective.to_bits());
+}

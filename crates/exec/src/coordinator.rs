@@ -68,6 +68,7 @@
 //! the in-process engines. Tests (and deliberate deployments) opt back
 //! in through [`WorkerCommand::env`], which is applied after the strip.
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -928,9 +929,13 @@ impl MrBackend<Point> for FleetBackend<'_> {
         let mut span = kcenter_obs::span!("exec.round1", "algo" => self.algo);
         // Empty partitions keep no shard and build no coreset — the shape
         // of the in-process shuffle, which only ever sees keys with at
-        // least one member and visits them in ascending order.
-        let partitions: Vec<(usize, Vec<Point>)> =
-            partition_dataset(points, plan.ell, plan.partitioner)
+        // least one member and visits them in ascending order. Partitions
+        // hold references into `points`: shards are encoded (or
+        // fingerprinted) straight from the caller's dataset, never from a
+        // copy of it.
+        let refs: Vec<&Point> = points.iter().collect();
+        let partitions: Vec<(usize, Vec<&Point>)> =
+            partition_dataset(&refs, plan.ell, plan.partitioner)
                 .into_iter()
                 .enumerate()
                 .filter(|(_, members)| !members.is_empty())
@@ -973,11 +978,11 @@ impl MrBackend<Point> for FleetBackend<'_> {
 
 /// Content fingerprint of one partition's shard (coordinates by bit
 /// pattern, length-prefixed), under the executor's shard domain.
-fn shard_fingerprint(members: &[Point]) -> u128 {
+fn shard_fingerprint<P: Borrow<Point>>(members: &[P]) -> u128 {
     let mut fp = Fingerprint::with_domain(SHARD_FINGERPRINT_DOMAIN);
     fp.write_usize(members.len());
     for p in members {
-        fp.write_f64s(p.coords());
+        fp.write_f64s(p.borrow().coords());
     }
     fp.finish()
 }
@@ -986,11 +991,20 @@ fn shard_fingerprint(members: &[Point]) -> u128 {
 /// valid content-addressed entry exists, (re-)stored when absent or
 /// corrupt, or written into the work directory when no store is
 /// configured. Returns (path, reused).
+///
+/// Why reuse at all: not speed. A reused shard still costs a fingerprint
+/// and a full validation, and in `BENCH_pr17.json` (2,000 points, 4
+/// shards, 2-vCPU box) `exec_mr_kcenter_shards_reused` took
+/// 10.26 ± 1.87 ms against 11.33 ± 1.55 ms for `_shards_rewritten`,
+/// within noise. The reason is that a warm run writes nothing: zero shard
+/// bytes on disk per job instead of the whole dataset (11 MB per job at
+/// kbench fleet-pipe's 200k points), and remote workers can share one
+/// store's `@store/NAME` entries instead of per-run scratch files.
 fn materialize_shard(
     store: Option<&ArtifactStore>,
     work_dir: &Path,
     part: usize,
-    members: &[Point],
+    members: &[&Point],
 ) -> std::io::Result<(PathBuf, bool)> {
     if let Some(store) = store {
         let fp = shard_fingerprint(members);
@@ -1022,7 +1036,7 @@ fn materialize_shard(
 /// artifact the coordinator reads. Fills the round-1 half of `report`.
 fn run_distributed_round(
     fleet: &mut WorkerFleet,
-    partitions: &[(usize, Vec<Point>)],
+    partitions: &[(usize, Vec<&Point>)],
     plan: &Round1Plan<'_>,
     metric: MetricKind,
     exec: &ExecConfig,

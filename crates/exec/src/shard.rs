@@ -12,6 +12,7 @@
 //! reject any corruption — including forged non-finite values, which the
 //! checksum cannot catch — as a clean [`DecodeError`].
 
+use std::borrow::Borrow;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,8 +58,9 @@ pub fn write_artifact_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     })
 }
 
-/// Writes `points` as a shard file at `path` (atomic temp + rename).
-pub fn write_shard(path: &Path, points: &[Point]) -> io::Result<()> {
+/// Writes `points` (owned or borrowed) as a shard file at `path` (atomic
+/// temp + rename).
+pub fn write_shard<P: Borrow<Point>>(path: &Path, points: &[P]) -> io::Result<()> {
     write_artifact_atomic(path, &codec::encode_shard(points))
 }
 
@@ -75,9 +77,9 @@ pub fn read_shard(path: &Path) -> Result<Vec<Point>, ShardError> {
 ///
 /// On the mmap path the returned set *is* the mapped coordinate block —
 /// the `f64` run validated by [`codec::validate_shard`] (framing,
-/// checksum) and [`codec::validate_shard_coords`] (finiteness, the same
-/// invariant `Point::try_new` enforces) — so shard bytes flow into the
-/// block distance kernels with zero copies. Any mapping failure falls
+/// checksum) and by [`PointSet::try_from_shared`] (shape, and finiteness:
+/// the invariant `Point::try_new` enforces) — so shard bytes flow into
+/// the block distance kernels with zero copies. Any mapping failure falls
 /// back to the canonical `read` + decode path (which also classifies the
 /// error) and an owned coordinate block; both paths are bitwise
 /// identical.
@@ -91,15 +93,15 @@ pub fn read_shard_set(path: &Path) -> Result<PointSet, ShardError> {
     Ok(PointSet::from_points(&points))
 }
 
-/// The mmap fast path: validate the mapped entry (structure *and*
-/// coordinate finiteness), then view the coordinate block in place. Any
-/// failure returns `None` and the caller re-answers through the canonical
-/// read + decode path (which also classifies the error).
+/// The mmap fast path: validate the mapped entry's structure, then view
+/// the coordinate block in place — `PointSet::try_from_shared` scans it
+/// for finiteness, once. Any failure returns `None` and the caller
+/// re-answers through the canonical read + decode path (which also
+/// classifies the error).
 #[cfg(all(target_os = "linux", target_endian = "little"))]
 fn read_shard_set_mapped(path: &Path) -> Option<PointSet> {
     use std::sync::Arc;
 
-    use kcenter_metric::StableF64s;
     use kcenter_store::mmap::{MappedF64s, MappedFile};
 
     let map = MappedFile::open(path).ok()?;
@@ -108,7 +110,6 @@ fn read_shard_set_mapped(path: &Path) -> Option<PointSet> {
         return Some(PointSet::from_points(&[]));
     }
     let block = MappedF64s::new(map, layout.coords_offset, layout.n * layout.dim)?;
-    codec::validate_shard_coords(block.stable_f64s()).ok()?;
     PointSet::try_from_shared(Arc::new(block), layout.n, layout.dim).ok()
 }
 
@@ -147,7 +148,7 @@ mod tests {
     #[test]
     fn empty_shard_round_trips() {
         let path = tmp("empty.kca");
-        write_shard(&path, &[]).unwrap();
+        write_shard::<Point>(&path, &[]).unwrap();
         assert_eq!(read_shard(&path).unwrap(), Vec::<Point>::new());
     }
 
@@ -168,7 +169,7 @@ mod tests {
         }
         // Empty shard loads as an empty set.
         let empty = tmp("set-empty.kca");
-        write_shard(&empty, &[]).unwrap();
+        write_shard::<Point>(&empty, &[]).unwrap();
         assert!(read_shard_set(&empty).unwrap().is_empty());
     }
 
@@ -200,6 +201,26 @@ mod tests {
         assert!(matches!(
             read_shard(&path),
             Err(ShardError::Decode(DecodeError::Malformed))
+        ));
+    }
+
+    #[test]
+    fn codec_v1_shard_is_a_version_mismatch_on_both_paths() {
+        // A shard an older build wrote: version 1 in the header. The
+        // version check comes before the checksum, so v1's checksum need
+        // not be reproduced.
+        let points = vec![Point::new(vec![1.0, 2.0]), Point::new(vec![3.0, 4.0])];
+        let mut bytes = codec::encode_shard(&points);
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let path = tmp("v1-shard.kca");
+        std::fs::write(&path, &bytes).unwrap();
+        #[cfg(all(target_os = "linux", target_endian = "little"))]
+        assert!(read_shard_set_mapped(&path).is_none());
+        assert!(matches!(
+            read_shard_set(&path),
+            Err(ShardError::Decode(DecodeError::VersionMismatch {
+                found: 1
+            }))
         ));
     }
 

@@ -1,5 +1,6 @@
 //! Property-based tests for the metric substrate.
 
+use kcenter_metric::fingerprint::checksum64;
 use kcenter_metric::pairwise::diameter_bounds;
 use kcenter_metric::selection::{kth_largest, kth_smallest, radius_excluding_outliers};
 use kcenter_metric::{
@@ -157,5 +158,20 @@ proptest! {
         }
         prop_assert!(lo <= true_diam + 1e-9);
         prop_assert!(hi >= true_diam - 1e-9);
+    }
+
+    /// Every single-bit flip of a 0–100-byte payload changes the store's
+    /// checksum: the lengths cover the empty input, the 0–31-byte tails
+    /// on their own, and one to three 32-byte blocks followed by a tail.
+    #[test]
+    fn checksum64_detects_every_single_bit_flip(
+        payload in prop::collection::vec(0u8..=255, 0..101)
+    ) {
+        let base = checksum64(&payload);
+        for bit in 0..payload.len() * 8 {
+            let mut flipped = payload.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            prop_assert!(checksum64(&flipped) != base, "flip of bit {bit} unseen");
+        }
     }
 }

@@ -12,6 +12,16 @@
 //! 32      len   payload
 //! ```
 //!
+//! Version 2 checksums the payload with XXH64 ([`checksum64`]), which reads
+//! a 64-bit word at a time, four independent lanes over 32-byte blocks:
+//! validating a multi-megabyte shard costs about as much as reading it.
+//! Entries older builds wrote (version 1, byte-at-a-time FNV-1a
+//! checksums) are clean [`DecodeError::VersionMismatch`] misses; the
+//! store's entry names changed with the word-wise
+//! [`kcenter_metric::Fingerprint`] at the same version. Encoders write
+//! the payload straight after a reserved header slot and fill the header
+//! in place, so no payload is copied twice.
+//!
 //! All multi-byte values are little-endian; `f64`s travel as raw bit
 //! patterns (`to_bits`/`from_bits`), so decoding reproduces every value —
 //! including `-0.0` and subnormals — **bitwise**. That is load-bearing:
@@ -23,6 +33,8 @@
 //! [`DecodeError`], never a panic. The store maps every error to a clean
 //! cache miss.
 
+use std::borrow::Borrow;
+
 use kcenter_metric::fingerprint::checksum64;
 use kcenter_metric::{DistanceMatrix, Point};
 
@@ -32,7 +44,7 @@ pub const MAGIC: [u8; 8] = *b"KCARTC01";
 /// Codec format version. Bump on **any** incompatible change to the header
 /// or a payload layout; old entries then decode to a clean miss and are
 /// transparently re-derived and overwritten.
-pub const CODEC_VERSION: u32 = 1;
+pub const CODEC_VERSION: u32 = 2;
 
 /// Size of the fixed header preceding every payload.
 pub const HEADER_LEN: usize = 32;
@@ -200,14 +212,24 @@ impl<'a> Reader<'a> {
 // Framing
 // ---------------------------------------------------------------------------
 
-fn frame(kind: ArtifactKind, payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&CODEC_VERSION.to_le_bytes());
-    out.extend_from_slice(&kind.tag().to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&checksum64(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+/// A buffer holding a zeroed header slot, with room for `payload` more
+/// bytes: encoders append their payload and [`seal`] it.
+fn unsealed(payload: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + payload);
+    out.resize(HEADER_LEN, 0);
+    out
+}
+
+/// Fills the header slot of an [`unsealed`] buffer in place.
+fn seal(kind: ArtifactKind, mut out: Vec<u8>) -> Vec<u8> {
+    let payload = &out[HEADER_LEN..];
+    let len = payload.len() as u64;
+    let checksum = checksum64(payload);
+    out[0..8].copy_from_slice(&MAGIC);
+    out[8..12].copy_from_slice(&CODEC_VERSION.to_le_bytes());
+    out[12..16].copy_from_slice(&kind.tag().to_le_bytes());
+    out[16..24].copy_from_slice(&len.to_le_bytes());
+    out[24..32].copy_from_slice(&checksum.to_le_bytes());
     out
 }
 
@@ -248,12 +270,12 @@ fn unframe(kind: ArtifactKind, bytes: &[u8]) -> Result<&[u8], DecodeError> {
 /// Encodes a condensed [`DistanceMatrix`] (framed, checksummed).
 pub fn encode_matrix(matrix: &DistanceMatrix) -> Vec<u8> {
     let condensed = matrix.condensed();
-    let mut payload = Vec::with_capacity(8 + 8 * condensed.len());
-    put_u64(&mut payload, matrix.len() as u64);
+    let mut out = unsealed(8 + 8 * condensed.len());
+    put_u64(&mut out, matrix.len() as u64);
     for &d in condensed {
-        put_f64(&mut payload, d);
+        put_f64(&mut out, d);
     }
-    frame(ArtifactKind::Matrix, payload)
+    seal(ArtifactKind::Matrix, out)
 }
 
 /// Fully validated layout of a matrix entry: everything needed to view the
@@ -323,17 +345,17 @@ pub fn encode_coreset(points: &[Point], weights: &[u64]) -> Vec<u8> {
         "weights misaligned with points"
     );
     let dim = points.first().map_or(0, Point::dim);
-    let mut payload = Vec::with_capacity(16 + points.len() * (8 * dim + 8));
-    put_u64(&mut payload, points.len() as u64);
-    put_u64(&mut payload, dim as u64);
+    let mut out = unsealed(16 + points.len() * (8 * dim + 8));
+    put_u64(&mut out, points.len() as u64);
+    put_u64(&mut out, dim as u64);
     for (p, &w) in points.iter().zip(weights) {
         assert_eq!(p.dim(), dim, "mixed-dimension coreset");
         for &c in p.coords() {
-            put_f64(&mut payload, c);
+            put_f64(&mut out, c);
         }
-        put_u64(&mut payload, w);
+        put_u64(&mut out, w);
     }
-    frame(ArtifactKind::Coreset, payload)
+    seal(ArtifactKind::Coreset, out)
 }
 
 /// Decodes a weighted coreset. Coordinates are validated through
@@ -389,26 +411,36 @@ pub struct ShardLayout {
 /// framed, checksummed entry whose coordinate block is a single contiguous
 /// 8-byte-aligned run of `f64` bit patterns (mmap-friendly).
 ///
+/// Takes owned or borrowed points, so a partition of references into the
+/// caller's dataset encodes without copying it first.
+///
 /// # Panics
 ///
 /// Panics on mixed-dimension points (a structural invariant of every
 /// dataset in the workspace).
-pub fn encode_shard(points: &[Point]) -> Vec<u8> {
-    let dim = points.first().map_or(0, Point::dim);
-    let mut payload = Vec::with_capacity(16 + points.len() * 8 * dim);
-    put_u64(&mut payload, points.len() as u64);
-    put_u64(&mut payload, dim as u64);
+pub fn encode_shard<P: Borrow<Point>>(points: &[P]) -> Vec<u8> {
+    let dim = points.first().map_or(0, |p| p.borrow().dim());
+    let mut out = unsealed(16 + points.len() * 8 * dim);
+    put_u64(&mut out, points.len() as u64);
+    put_u64(&mut out, dim as u64);
     for p in points {
+        let p = p.borrow();
         assert_eq!(p.dim(), dim, "mixed-dimension shard");
         for &c in p.coords() {
-            put_f64(&mut payload, c);
+            put_f64(&mut out, c);
         }
     }
-    frame(ArtifactKind::Shard, payload)
+    seal(ArtifactKind::Shard, out)
 }
 
 /// Validates a shard entry — framing, checksum, count consistency —
 /// without materializing the points.
+///
+/// The checksum vouches for the *bytes*, not for the values: a zero-copy
+/// reader that views the coordinate block in place must still reject
+/// non-finite coordinates (the invariant [`Point::try_new`] enforces), as
+/// `PointSet::try_from_shared` does, so a forged entry is a miss and never
+/// NaN-poisoned distances.
 pub fn validate_shard(bytes: &[u8]) -> Result<ShardLayout, DecodeError> {
     let payload = unframe(ArtifactKind::Shard, bytes)?;
     let mut r = Reader::new(payload);
@@ -429,22 +461,6 @@ pub fn validate_shard(bytes: &[u8]) -> Result<ShardLayout, DecodeError> {
         dim,
         coords_offset: HEADER_LEN + 16,
     })
-}
-
-/// Validates a shard's coordinate block for finiteness — the same invariant
-/// [`Point::try_new`] enforces — without materializing points.
-///
-/// Zero-copy readers that view a mapped shard's coordinate block directly
-/// (e.g. building a `PointSet` over the mapping) must call this after
-/// [`validate_shard`]: the checksum vouches for the *bytes*, not for the
-/// values, and a forged entry of non-finite coordinates must surface as a
-/// [`DecodeError::Malformed`] miss — never as NaN-poisoned distances.
-pub fn validate_shard_coords(coords: &[f64]) -> Result<(), DecodeError> {
-    if coords.iter().all(|c| c.is_finite()) {
-        Ok(())
-    } else {
-        Err(DecodeError::Malformed)
-    }
 }
 
 /// Decodes a point shard. Coordinates are validated through
@@ -477,19 +493,19 @@ pub fn decode_shard(bytes: &[u8]) -> Result<Vec<Point>, DecodeError> {
 /// solution in the workspace).
 pub fn encode_solution(solution: &StoredSolution) -> Vec<u8> {
     let dim = solution.centers.first().map_or(0, Point::dim);
-    let mut payload = Vec::with_capacity(40 + solution.centers.len() * 8 * dim);
-    put_u64(&mut payload, solution.centers.len() as u64);
-    put_u64(&mut payload, dim as u64);
+    let mut out = unsealed(40 + solution.centers.len() * 8 * dim);
+    put_u64(&mut out, solution.centers.len() as u64);
+    put_u64(&mut out, dim as u64);
     for p in &solution.centers {
         assert_eq!(p.dim(), dim, "mixed-dimension centers");
         for &c in p.coords() {
-            put_f64(&mut payload, c);
+            put_f64(&mut out, c);
         }
     }
-    put_f64(&mut payload, solution.radius);
-    put_u64(&mut payload, solution.uncovered_weight);
-    put_u64(&mut payload, solution.evaluations);
-    frame(ArtifactKind::Solution, payload)
+    put_f64(&mut out, solution.radius);
+    put_u64(&mut out, solution.uncovered_weight);
+    put_u64(&mut out, solution.evaluations);
+    seal(ArtifactKind::Solution, out)
 }
 
 /// Decodes a [`StoredSolution`], bitwise-equal on the radius and every
@@ -566,21 +582,21 @@ pub fn encode_session(session: &StoredSession) -> Vec<u8> {
         "weights misaligned with centers"
     );
     let dim = session.centers.first().map_or(0, Point::dim);
-    let mut payload = Vec::with_capacity(48 + session.centers.len() * (8 * dim + 8));
-    put_u64(&mut payload, session.centers.len() as u64);
-    put_u64(&mut payload, dim as u64);
-    put_u64(&mut payload, session.tau);
-    put_u64(&mut payload, u64::from(session.initialized));
-    put_f64(&mut payload, session.phi);
-    put_u64(&mut payload, session.processed);
+    let mut out = unsealed(48 + session.centers.len() * (8 * dim + 8));
+    put_u64(&mut out, session.centers.len() as u64);
+    put_u64(&mut out, dim as u64);
+    put_u64(&mut out, session.tau);
+    put_u64(&mut out, u64::from(session.initialized));
+    put_f64(&mut out, session.phi);
+    put_u64(&mut out, session.processed);
     for (p, &w) in session.centers.iter().zip(&session.weights) {
         assert_eq!(p.dim(), dim, "mixed-dimension session");
         for &c in p.coords() {
-            put_f64(&mut payload, c);
+            put_f64(&mut out, c);
         }
-        put_u64(&mut payload, w);
+        put_u64(&mut out, w);
     }
-    frame(ArtifactKind::Session, payload)
+    seal(ArtifactKind::Session, out)
 }
 
 /// Decodes a [`StoredSession`], bitwise-equal on `ϕ` and every coordinate.
@@ -643,6 +659,13 @@ pub fn decode_session(bytes: &[u8]) -> Result<StoredSession, DecodeError> {
 mod tests {
     use super::*;
     use kcenter_metric::Euclidean;
+
+    /// Frames a hand-built payload, valid checksum included.
+    fn frame(kind: ArtifactKind, payload: Vec<u8>) -> Vec<u8> {
+        let mut out = unsealed(payload.len());
+        out.extend_from_slice(&payload);
+        seal(kind, out)
+    }
 
     fn pts(coords: &[&[f64]]) -> Vec<Point> {
         coords.iter().map(|c| Point::new(c.to_vec())).collect()
@@ -780,7 +803,7 @@ mod tests {
         }
         // Empty shard round-trips too (an empty partition writes no points).
         assert_eq!(
-            decode_shard(&encode_shard(&[])).unwrap(),
+            decode_shard(&encode_shard::<Point>(&[])).unwrap(),
             Vec::<Point>::new()
         );
     }
@@ -840,18 +863,6 @@ mod tests {
         put_u64(&mut payload, 0);
         let forged = frame(ArtifactKind::Shard, payload);
         assert_eq!(decode_shard(&forged), Err(DecodeError::Malformed));
-    }
-
-    #[test]
-    fn coordinate_block_validation_matches_try_new() {
-        assert!(validate_shard_coords(&[]).is_ok());
-        assert!(validate_shard_coords(&[1.0, -0.0, 1e-300, f64::MAX]).is_ok());
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert_eq!(
-                validate_shard_coords(&[0.0, bad, 1.0]),
-                Err(DecodeError::Malformed)
-            );
-        }
     }
 
     #[test]

@@ -32,6 +32,7 @@ pub mod codec;
 #[cfg(all(target_os = "linux", target_endian = "little"))]
 pub mod mmap;
 
+use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -191,8 +192,9 @@ impl ArtifactStore {
         Some(self.dir.join(name))
     }
 
-    /// Reads and fully validates one entry; any failure (absent entry,
-    /// truncation, checksum/version/kind mismatch) is a clean `None`.
+    /// Reads one entry's bytes; `None` when it is absent or unreadable.
+    /// Every caller decodes them at once, so any other failure
+    /// (truncation, checksum/version/kind mismatch) is a clean miss too.
     fn load_raw(&self, kind: ArtifactKind, fingerprint: u128) -> Option<Vec<u8>> {
         let bytes = std::fs::read(self.entry_path(kind, fingerprint)).ok()?;
         Some(bytes)
@@ -309,12 +311,17 @@ impl ArtifactStore {
         codec::decode_shard(&bytes).ok()
     }
 
-    /// Persists a point shard under `fingerprint`.
+    /// Persists a point shard (owned or borrowed points) under
+    /// `fingerprint`.
     ///
     /// # Panics
     ///
     /// Panics on mixed-dimension points.
-    pub fn store_shard(&self, fingerprint: u128, points: &[Point]) -> std::io::Result<()> {
+    pub fn store_shard<P: Borrow<Point>>(
+        &self,
+        fingerprint: u128,
+        points: &[P],
+    ) -> std::io::Result<()> {
         self.store_raw(
             ArtifactKind::Shard,
             fingerprint,
@@ -746,6 +753,91 @@ mod tests {
         assert_eq!(report.removed, 2);
         assert_eq!(report.remaining_entries, 0);
         assert_eq!(report.remaining_bytes, 0);
+        assert_eq!(store.stat().unwrap().total_entries(), 0);
+    }
+
+    /// The payload checksum codec v1 wrote: byte-at-a-time FNV-1a with a
+    /// SplitMix64 finish.
+    fn checksum_v1(payload: &[u8]) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for &b in payload {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        h ^ (h >> 31)
+    }
+
+    /// Rewrites a current entry as codec v1 wrote it — version 1 and v1's
+    /// checksum in the header: what a store filled by an older build holds.
+    fn as_v1(mut bytes: Vec<u8>) -> Vec<u8> {
+        let sum = checksum_v1(&bytes[codec::HEADER_LEN..]);
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        bytes[24..32].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn v1_entries_are_clean_misses_that_stat_prune_and_clear_still_manage() {
+        let store = ArtifactStore::open(tmp_dir("v1")).unwrap();
+        let points = vec![Point::new(vec![1.0, -0.0]), Point::new(vec![2.5, 3.0])];
+        let solution = StoredSolution {
+            centers: points.clone(),
+            radius: 1.5,
+            uncovered_weight: 0,
+            evaluations: 3,
+        };
+        let session = StoredSession {
+            tau: 4,
+            initialized: false,
+            phi: 0.0,
+            processed: 2,
+            centers: points.clone(),
+            weights: vec![1, 1],
+        };
+        let entries = [
+            (ArtifactKind::Matrix, codec::encode_matrix(&sample_matrix())),
+            (
+                ArtifactKind::Coreset,
+                codec::encode_coreset(&points, &[1, 2]),
+            ),
+            (ArtifactKind::Solution, codec::encode_solution(&solution)),
+            (ArtifactKind::Shard, codec::encode_shard(&points)),
+            (ArtifactKind::Session, codec::encode_session(&session)),
+        ];
+        for (fp, (kind, bytes)) in entries.into_iter().enumerate() {
+            store.store_raw(kind, fp as u128, &as_v1(bytes)).unwrap();
+        }
+
+        // Every load is a miss; `load_matrix` tries its mmap path first.
+        assert!(store.load_matrix(0).is_none());
+        assert!(store.load_coreset(1).is_none());
+        assert!(store.load_solution(2).is_none());
+        assert!(store.load_shard(3).is_none());
+        assert!(store.load_session(4).is_none());
+        // The bytes `load_raw` returns fail on the version, before the
+        // checksum is even computed.
+        let v1 = DecodeError::VersionMismatch { found: 1 };
+        let raw = store
+            .load_raw(ArtifactKind::Shard, 3)
+            .expect("entry exists");
+        assert_eq!(codec::decode_shard(&raw), Err(v1));
+        assert_eq!(codec::validate_shard(&raw), Err(v1));
+        #[cfg(all(target_os = "linux", target_endian = "little"))]
+        {
+            let map = mmap::MappedFile::open(&store.entry_path(ArtifactKind::Shard, 3)).unwrap();
+            assert_eq!(codec::validate_shard(map.bytes()), Err(v1));
+        }
+
+        // Maintenance still sees and removes the old entries.
+        let stat = store.stat().unwrap();
+        for kind in ArtifactKind::ALL {
+            assert_eq!(stat.kind(kind).entries, 1, "{kind:?}");
+        }
+        let pruned = store.prune(stat.total_bytes() - 1).unwrap();
+        assert!(pruned.removed >= 1);
+        assert_eq!(pruned.remaining_entries, 5 - pruned.removed);
+        assert_eq!(store.clear().unwrap(), pruned.remaining_entries);
         assert_eq!(store.stat().unwrap().total_entries(), 0);
     }
 
