@@ -8,20 +8,15 @@
 //! within the (1+δ) tolerance while the grid never materializes the
 //! quadratic candidate set.
 //!
-//! With `KCENTER_CACHE_DIR` set, each coreset's proxy matrix is persisted
-//! on the first (cold) run and *loaded* on every later (warm) run: the
-//! cache-determinism CI job reruns this binary warm and asserts zero
-//! matrix builds with bit-identical stdout. Pass `--deterministic` to
-//! blank the wall-clock columns so stdout is exactly diffable; the
-//! cache/build accounting goes to stderr either way.
+//! Pass `--deterministic` to blank the wall-clock columns so stdout is
+//! exactly diffable (`tests/fig_golden.rs` diffs it with tracing on and
+//! off).
 //!
 //! ```text
 //! cargo run --release -p kcenter-bench --bin ablation_radius_search
 //! ```
 
-use std::time::Instant;
-
-use kcenter_bench::{report_cache_accounting, Args, Dataset};
+use kcenter_bench::{Args, Dataset};
 use kcenter_core::coreset::{build_weighted_coreset, CoresetSpec};
 use kcenter_core::outliers_cluster::CmpMatrixRef;
 use kcenter_core::radius_search::{find_min_feasible_radius, SearchMode};
@@ -29,15 +24,11 @@ use kcenter_data::{inject_outliers, shuffled};
 use kcenter_metric::{CachedOracle, Euclidean, Point};
 
 fn main() {
-    let store = kcenter_store::install_from_env();
-    if let Some(store) = &store {
-        eprintln!("persistent cache: {}", store.dir().display());
-    }
     let args = Args::parse();
     let n = args.size(20_000, 100_000);
     let (k, z, eps_hat) = (20usize, 50usize, 0.25f64);
     // Wall-clock formatting: real durations by default, a fixed-width "-"
-    // under --deterministic so cold and warm runs print identical bytes.
+    // under --deterministic so repeated runs print identical bytes.
     let fmt_time = |d: std::time::Duration| {
         if args.deterministic {
             "   -".to_string()
@@ -72,46 +63,32 @@ fn main() {
             // priced into a proxy matrix once, *before* the timers start
             // (this ablation compares search strategies, so neither mode
             // may be charged the one-time build), and both searches read
-            // the resolved view with no per-lookup cache branch. With the
-            // persistent store installed and warm, "priced" becomes
-            // "loaded" and the build count stays zero.
+            // the resolved view with no per-lookup cache branch.
             let oracle = CachedOracle::new(coreset_points, &Euclidean, usize::MAX);
             let view = CmpMatrixRef::<Point, Euclidean>::new(
                 oracle.matrix().expect("threshold is unbounded"),
                 oracle.metric(),
             );
             assert_eq!(
-                oracle.build_count() + oracle.load_count(),
+                oracle.build_count(),
                 1,
-                "both modes must share one matrix (built once or loaded once)"
+                "both modes must share one matrix, built once"
             );
 
-            let start = Instant::now();
-            let grid = find_min_feasible_radius(
-                &view,
-                &weights,
-                k,
-                z as u64,
-                eps_hat,
-                SearchMode::GeometricGrid,
-            );
-            let grid_time = start.elapsed();
-
-            let start = Instant::now();
-            let exact = find_min_feasible_radius(
-                &view,
-                &weights,
-                k,
-                z as u64,
-                eps_hat,
-                SearchMode::ExactCandidates,
-            );
-            let exact_time = start.elapsed();
-            assert_eq!(
-                oracle.build_count() + oracle.load_count(),
-                1,
-                "a search must never rebuild"
-            );
+            // Each search is timed as a `bench.ablation.search` span, so a
+            // KCENTER_TRACE run records one span per mode and coreset.
+            let search = |mode: SearchMode| {
+                let mut span = kcenter_obs::span("bench.ablation.search")
+                    .field("dataset", dataset.name())
+                    .field("mu", mu)
+                    .field("mode", format!("{mode:?}"));
+                let result = find_min_feasible_radius(&view, &weights, k, z as u64, eps_hat, mode);
+                span.add_field("evaluations", result.evaluations);
+                (result, span.finish())
+            };
+            let (grid, grid_time) = search(SearchMode::GeometricGrid);
+            let (exact, exact_time) = search(SearchMode::ExactCandidates);
+            assert_eq!(oracle.build_count(), 1, "a search must never rebuild");
 
             let delta = eps_hat / (3.0 + 4.0 * eps_hat);
             let agree = grid.radius <= exact.radius * (1.0 + delta) * (1.0 + delta);
@@ -130,5 +107,4 @@ fn main() {
         }
     }
     println!("\n(agree = grid radius within (1+δ)² of exact; both verified feasible)");
-    report_cache_accounting();
 }

@@ -40,11 +40,9 @@
 //! sequential reference — identical code path to the old sequential shim)
 //! and once with the machine's full parallelism when that differs.
 //!
-//! With `KCENTER_CACHE_DIR` set, the shared coreset fixture is persisted
-//! under a fingerprint of its generation spec (dataset, n, seed, base, µ)
-//! and re-loaded by later runs, so repeated benchmarking sessions skip the
-//! GMM construction entirely. Distance matrices are always priced in
-//! process, never loaded.
+//! Every input, the outlier kernels' shared coreset fixture included, is
+//! generated in process from a fixed seed; the binary does not read
+//! `KCENTER_CACHE_DIR`.
 //!
 //! Usage: `bench_runner [--out PATH] [--samples N] [--warmup N] [--n N] [--smoke]`
 //!
@@ -150,13 +148,6 @@ impl<P, M: Metric<P>> Metric<P> for ScalarLoop<M> {
     fn cmp_prune_bound(&self, cmp_ac: f64) -> Option<f64> {
         self.0.cmp_prune_bound(cmp_ac)
     }
-
-    fn cache_fingerprint(&self, points: &[P]) -> Option<u128>
-    where
-        P: Sized,
-    {
-        self.0.cache_fingerprint(points)
-    }
 }
 
 struct Record {
@@ -240,80 +231,10 @@ fn json_record(r: &Record) -> String {
     )
 }
 
-/// Dataset-generation seed of the benchmark workload; part of the coreset
-/// fixture's cache key, so changing it invalidates persisted fixtures.
+/// Dataset-generation seed of the benchmark workload.
 const FIXTURE_DATASET_SEED: u64 = 1;
-/// GMM start index of the coreset fixture; likewise part of the key.
-const FIXTURE_GMM_START: usize = 0;
 
-/// Fingerprint of the shared coreset fixture's *generation spec* — the
-/// spec-keyed flavour of artifact addressing (versus the content-keyed
-/// matrix fingerprints): dataset generation is seed-deterministic, so the
-/// spec (dataset, size, dataset seed, coreset base, µ, GMM start) fully
-/// determines the coreset and a later run can load it without
-/// regenerating the 10k-point dataset or re-running GMM. Every constant
-/// that feeds the build is folded in — change one and the key moves —
-/// plus the crate version, so a release that alters GMM/coreset
-/// semantics between versions cannot be served a stale fixture. (Within
-/// one version, a semantic change to the derivation must bump the domain
-/// string; the golden-output suites exist to make such changes loud.)
-fn coreset_fixture_fingerprint(n: usize, base: usize, mu: usize) -> u128 {
-    let mut fp = kcenter_store::Fingerprint::with_domain("kcenter-bench/coreset-fixture/v1");
-    fp.write_str(env!("CARGO_PKG_VERSION"));
-    fp.write_str(Dataset::Power.name());
-    fp.write_usize(n);
-    fp.write_u64(FIXTURE_DATASET_SEED);
-    fp.write_usize(base);
-    fp.write_usize(mu);
-    fp.write_usize(FIXTURE_GMM_START);
-    fp.finish()
-}
-
-/// Builds (or, warm, loads) the shared coreset fixture for the outlier
-/// kernels: τ = µ(k+z) GMM centers with proxy weights over the seeded
-/// Power workload.
-fn coreset_fixture(
-    points: &[Point],
-    n: usize,
-    base: usize,
-    mu: usize,
-    store: Option<&kcenter_store::ArtifactStore>,
-) -> (Vec<Point>, Vec<u64>) {
-    let fingerprint = coreset_fixture_fingerprint(n, base, mu);
-    if let Some(store) = store {
-        if let Some((cpoints, weights)) = store.load_coreset(fingerprint) {
-            eprintln!(
-                "  coreset fixture: loaded from cache ({} points)",
-                cpoints.len()
-            );
-            return (cpoints, weights);
-        }
-    }
-    let build = build_weighted_coreset(
-        points,
-        &Euclidean,
-        base,
-        &CoresetSpec::Multiplier { mu },
-        FIXTURE_GMM_START,
-    );
-    let cpoints = build.coreset.points_only();
-    let weights = build.coreset.weights();
-    if let Some(store) = store {
-        if let Err(err) = store.store_coreset(fingerprint, &cpoints, &weights) {
-            eprintln!("  coreset fixture: failed to persist: {err}");
-        }
-    }
-    (cpoints, weights)
-}
-
-fn run_kernels(
-    threads: usize,
-    warmup: usize,
-    samples: usize,
-    n: usize,
-    store: Option<&kcenter_store::ArtifactStore>,
-    records: &mut Vec<Record>,
-) {
+fn run_kernels(threads: usize, warmup: usize, samples: usize, n: usize, records: &mut Vec<Record>) {
     let (k, z, mu) = (20usize, 50usize, 8usize);
     let points = Dataset::Power.generate(n, FIXTURE_DATASET_SEED);
 
@@ -386,9 +307,15 @@ fn run_kernels(
         );
     }
 
-    // Shared coreset fixture for the outlier kernels: τ = µ(k+z) = 560,
-    // loaded from the persistent store when a previous run built it.
-    let (cpoints, weights) = coreset_fixture(&points, n, k + z, mu, store);
+    // Shared coreset fixture for the outlier kernels: τ = µ(k+z) = 560.
+    let fixture = build_weighted_coreset(
+        &points,
+        &Euclidean,
+        k + z,
+        &CoresetSpec::Multiplier { mu },
+        0,
+    );
+    let (cpoints, weights) = (fixture.coreset.points_only(), fixture.coreset.weights());
     let t = cpoints.len();
 
     // Kernel 2: proxy-scale distance-matrix construction over the
@@ -504,9 +431,9 @@ fn run_kernels(
         }),
     );
     assert_eq!(
-        shared.build_count() + shared.load_count(),
+        shared.build_count(),
         1,
-        "cached sweep must price its matrix exactly once (built or loaded)"
+        "cached sweep must price its matrix exactly once"
     );
 }
 
@@ -846,19 +773,6 @@ fn main() {
     let warmup = warmup.unwrap_or(2);
     let n = n.unwrap_or(if smoke { 4_000 } else { 10_000 });
 
-    // The persistent store is used *only* for the spec-keyed coreset
-    // fixture here — deliberately not installed as the global matrix
-    // persistence: the distance_matrix_build and radius_search_rebuilt
-    // kernels measure matrix pricing itself, and serving those from disk
-    // would silently benchmark the codec instead of the kernel.
-    let store = kcenter_store::ArtifactStore::from_env();
-    if let Some(store) = &store {
-        eprintln!(
-            "persistent cache (coreset fixture only): {}",
-            store.dir().display()
-        );
-    }
-
     let machine = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
@@ -874,7 +788,7 @@ fn main() {
             .num_threads(tc)
             .build()
             .expect("pool build");
-        pool.install(|| run_kernels(tc, warmup, samples, n, store.as_ref(), &mut records));
+        pool.install(|| run_kernels(tc, warmup, samples, n, &mut records));
     }
 
     eprintln!("executor (process-level):");

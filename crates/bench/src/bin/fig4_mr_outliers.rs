@@ -14,22 +14,13 @@
 
 use std::time::Instant;
 
-use kcenter_bench::{report_cache_accounting, Args, Dataset, RatioTable, Stats};
+use kcenter_bench::{Args, Dataset, RatioTable, Stats};
 use kcenter_core::coreset::CoresetSpec;
 use kcenter_core::mapreduce_outliers::{mr_kcenter_outliers, MrOutliersConfig, MrPartitioning};
 use kcenter_data::inject_outliers;
 use kcenter_metric::Euclidean;
 
 fn main() {
-    // Opt-in persistent matrix cache (KCENTER_CACHE_DIR): round 2 of every
-    // MR run below then loads previously priced coreset matrices instead
-    // of rebuilding them. Only the *"distance matrices built"* accounting
-    // line below depends on cache state; every scientific number is
-    // bit-identical cold or warm (enforced by the cache-determinism CI
-    // job).
-    if let Some(store) = kcenter_store::install_from_env() {
-        eprintln!("persistent cache: {}", store.dir().display());
-    }
     let args = Args::parse();
     let n = args.size(20_000, 200_000);
     let (k, ell) = (20usize, 16usize);
@@ -121,5 +112,4 @@ fn main() {
         "distance matrices built: {}",
         kcenter_metric::matrix_build_count()
     );
-    report_cache_accounting();
 }

@@ -23,7 +23,7 @@
 
 use std::time::Duration;
 
-use kcenter_bench::{report_cache_accounting, Args, Dataset, Stats};
+use kcenter_bench::{Args, Dataset, Stats};
 use kcenter_core::coreset::CoresetSpec;
 use kcenter_core::mapreduce_outliers::{mr_kcenter_outliers, MrOutliersConfig};
 use kcenter_data::inject_outliers;
@@ -36,11 +36,6 @@ fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.first().map(String::as_str) == Some("exec-worker") {
         std::process::exit(kcenter_exec::worker_main(raw.into_iter().skip(1)));
-    }
-    // Opt-in persistent matrix cache; see fig4_mr_outliers for the
-    // cold/warm accounting contract.
-    if let Some(store) = kcenter_store::install_from_env() {
-        eprintln!("persistent cache: {}", store.dir().display());
     }
     let args = Args::parse();
     if args.real_procs {
@@ -110,7 +105,6 @@ fn main() {
         "distance matrices built: {}",
         kcenter_metric::matrix_build_count()
     );
-    report_cache_accounting();
 }
 
 /// The `--real-procs` variant: ℓ real worker OS processes per run, with
@@ -203,5 +197,4 @@ fn real_procs_mode(args: &Args) {
         "distance matrices built: {}",
         kcenter_metric::matrix_build_count()
     );
-    report_cache_accounting();
 }

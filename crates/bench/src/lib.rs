@@ -158,40 +158,6 @@ impl RatioTable {
     }
 }
 
-/// Prints the process-wide matrix-pricing/persistent-store accounting to
-/// **stderr** in a fixed machine-parsable shape:
-///
-/// ```text
-/// cache-accounting: builds=24 hits=0 misses=24
-/// ```
-///
-/// Stderr, deliberately: the counters depend on the cache's state (cold
-/// vs warm), while the binaries' *stdout* must stay a pure function of
-/// the seeded inputs so the cache-determinism CI jobs can diff it
-/// bit-for-bit. `tests/fig_golden.rs` parses this line to assert a warm
-/// run served every matrix from the store (`builds=0`, `hits>0`).
-pub fn report_cache_accounting() {
-    let (builds, hits, misses) = (
-        kcenter_metric::matrix_build_count(),
-        kcenter_metric::store_hit_count(),
-        kcenter_metric::store_miss_count(),
-    );
-    eprintln!(
-        "{}",
-        kcenter_obs::cache_accounting_line(builds, hits, misses)
-    );
-    // The same counters as a trace event, so a `KCENTER_TRACE` run of a
-    // figure binary leaves a record; trace bytes never touch stdout/stderr.
-    kcenter_obs::event(
-        "bench.cache_accounting",
-        &[
-            ("builds".to_string(), builds.to_string()),
-            ("hits".to_string(), hits.to_string()),
-            ("misses".to_string(), misses.to_string()),
-        ],
-    );
-}
-
 /// Formats a duration in adaptive units.
 pub fn fmt_duration(d: Duration) -> String {
     let s = d.as_secs_f64();
@@ -212,8 +178,8 @@ pub struct Args {
     /// Dataset size override.
     pub n: Option<usize>,
     /// Suppress wall-clock columns so stdout is a pure function of the
-    /// seeded inputs — the mode the cache-determinism CI jobs diff
-    /// bit-for-bit across cold/warm cache and thread counts.
+    /// seeded inputs — the mode `tests/fig_golden.rs` diffs bit-for-bit
+    /// across thread counts and with tracing on.
     pub deterministic: bool,
     /// Run on real worker OS processes instead of the in-process engine
     /// (honoured by `fig7_scaling_procs`, which then reports per-worker

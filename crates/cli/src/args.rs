@@ -276,11 +276,11 @@ snapshot to the artifact store and idle sessions are evicted under
 --memory-budget, restoring transparently (bit-identically) on the next
 touch.
 
-The persistent artifact cache (distance matrices, coresets, solutions) is
-off unless --cache-dir or the KCENTER_CACHE_DIR environment variable
-names a directory (--cache-dir \"\" forces it off); `cache stat`/`cache
-clear` inspect and empty it, `cache prune --max-bytes` evicts the least
-recently written entries down to a byte budget.
+The persistent artifact cache (executor shards, serve sessions, cluster
+solutions) is off unless --cache-dir or the KCENTER_CACHE_DIR environment
+variable names a directory (--cache-dir \"\" forces it off); `cache
+stat`/`cache clear` inspect and empty it, `cache prune --max-bytes`
+evicts the least recently written entries down to a byte budget.
 
 Structured tracing is off unless --trace or the KCENTER_TRACE
 environment variable names an output file; when on, span and event

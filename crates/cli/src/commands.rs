@@ -36,24 +36,22 @@ fn activate_trace(flag: &Option<String>) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// Resolves the cluster command's artifact store: the `--cache-dir` flag
-/// wins, else `KCENTER_CACHE_DIR`, else caching is off. An explicit
-/// empty `--cache-dir ""` forces caching off even when the environment
-/// variable is set (also how the in-process tests stay deterministic
-/// without mutating the process environment). When active, the store is
-/// also installed as the process-wide matrix persistence so every
-/// `CachedOracle` the algorithms resolve reads/writes it.
+/// Resolves the artifact store of `cluster` and `serve`: the
+/// `--cache-dir` flag wins, else `KCENTER_CACHE_DIR`, else caching is
+/// off. An explicit empty `--cache-dir ""` forces caching off even when
+/// the environment variable is set (also how the in-process tests stay
+/// deterministic without mutating the process environment).
 fn activate_store(flag: &Option<String>) -> Option<ArtifactStore> {
     let store = match flag.as_deref() {
         Some("") => None,
-        Some(dir) => match kcenter_store::install_at(dir) {
+        Some(dir) => match ArtifactStore::open(dir) {
             Ok(store) => Some(store),
             Err(err) => {
                 eprintln!("warning: cannot open cache dir {dir}: {err} (cache off)");
                 None
             }
         },
-        None => kcenter_store::install_from_env(),
+        None => ArtifactStore::from_env(),
     };
     if let Some(store) = &store {
         eprintln!("persistent cache: {}", store.dir().display());
@@ -246,10 +244,7 @@ fn mr_outliers_config(args: &ClusterArgs, ell: usize) -> MrOutliersConfig {
 ///
 /// When the persistent cache is active, it doubles as the executor's
 /// content-addressed shard store: a repeated run over the same input is
-/// served its partition shards without a single shard write. Workers
-/// deliberately do *not* inherit the cache (the coordinator strips
-/// `KCENTER_CACHE_DIR` at spawn) — their accounting must match the
-/// in-process engines bit for bit.
+/// served its partition shards without a single shard write.
 fn run_cluster_multiprocess(
     args: &ClusterArgs,
     points: &[Point],
@@ -716,10 +711,11 @@ mod tests {
             .join(format!("prune-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = kcenter_store::ArtifactStore::open(&dir).unwrap();
-        let matrix = kcenter_metric::DistanceMatrix::from_condensed(3, vec![1.0, 2.0, 3.0]);
+        let shard = [Point::new(vec![1.0, 2.0]), Point::new(vec![3.0, 4.0])];
         for fp in [1u128, 2, 3] {
-            store.store_matrix(fp, &matrix).unwrap();
+            store.store_shard(fp, &shard).unwrap();
         }
+        assert_eq!(store.stat().unwrap().shard.entries, 3);
         run_cache(&CacheArgs {
             action: CacheAction::Prune { max_bytes: 0 },
             dir: Some(dir.to_string_lossy().into_owned()),

@@ -289,10 +289,6 @@ where
             // matrix. The handle lives only for this reducer — sweeps
             // that re-solve one coreset under several parameters hold a
             // CachedOracle themselves and call solve_coreset_cached.
-            // With a persistent store installed (KCENTER_CACHE_DIR), the
-            // oracle loads a previously priced matrix for this exact
-            // union instead of rebuilding it, so round 2 of a repeated
-            // seeded run costs no distance evaluations at all.
             let oracle = CachedOracle::new(union.points_only(), metric, config.matrix_threshold);
             solve_coreset_cached(
                 &oracle,

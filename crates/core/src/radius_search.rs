@@ -405,16 +405,6 @@ where
 /// scale, so the result is bitwise independent of which side of the
 /// oracle's cache threshold — itself environment-derived — a run lands on.
 ///
-/// When a persistent store is installed
-/// ([`kcenter_metric::install_matrix_persistence`], typically via
-/// `kcenter_store::install_from_env` honouring `KCENTER_CACHE_DIR`), the
-/// oracle's first resolution additionally consults the on-disk cache: a
-/// previously priced matrix for the same (metric, points) fingerprint is
-/// loaded bitwise instead of rebuilt — across *processes*, not just
-/// across searches — and a miss prices then persists it. Results are
-/// identical either way; only `matrix_build_count()` vs
-/// `store_hit_count()` move.
-///
 /// # Panics
 ///
 /// Panics if the oracle is empty, `weights` is misaligned, or `k == 0`.

@@ -61,12 +61,12 @@
 //! error the fleet is torn down and the work directory removed (unless
 //! kept for debugging).
 //!
-//! **Environment hygiene.** Workers inherit the coordinator's
-//! environment *minus* `KCENTER_EXEC_FAULT` and `KCENTER_CACHE_DIR`:
-//! fault injection must be asked for, and a fleet worker silently
-//! opening the ambient artifact cache would diverge in accounting from
-//! the in-process engines. Tests (and deliberate deployments) opt back
-//! in through [`WorkerCommand::env`], which is applied after the strip.
+//! **Environment hygiene.** Spawned workers inherit the coordinator's
+//! environment *minus* `KCENTER_EXEC_FAULT` and `KCENTER_TRACE`: fault
+//! injection must be asked for, and pipe workers must not all append to
+//! the coordinator's trace file (they report telemetry on the wire
+//! instead). Tests (and deliberate deployments) opt back in through
+//! [`WorkerCommand::env`], which is applied after the strip.
 
 use std::borrow::Borrow;
 use std::collections::VecDeque;
@@ -647,17 +647,16 @@ impl WorkerFleet {
                         }
                         _ => {
                             // `err` replies are deterministic worker-side
-                            // failures (bad input, unwritable output):
-                            // replaying cannot help, so fail now, with
-                            // code 1 for a failed job.
-                            let message = match parts.first().map(String::as_str) {
+                            // failures (bad input, unwritable output) from
+                            // a worker that is still alive: replaying
+                            // cannot help, so fail now.
+                            let reason = match parts.first().map(String::as_str) {
                                 Some("err") => parts.get(1).cloned().unwrap_or_default(),
                                 _ => format!("unexpected reply frame: {parts:?}"),
                             };
-                            return Err(ExecError::WorkerFailed {
+                            return Err(ExecError::JobFailed {
                                 partition: job.partition,
-                                code: Some(1),
-                                stderr: message,
+                                reason,
                             });
                         }
                     }
@@ -688,83 +687,6 @@ impl WorkerFleet {
             .into_iter()
             .map(|r| r.expect("completed implies recorded"))
             .collect())
-    }
-
-    /// Asks a (possibly fresh) worker whether `var` is set in its
-    /// environment — the regression surface for the coordinator's env
-    /// strip. Returns the value when set.
-    pub fn probe_env(&mut self, var: &str) -> Result<Option<String>, ExecError> {
-        if self.workers.is_empty() {
-            self.spawn_worker().map_err(|source| ExecError::Spawn {
-                partition: 0,
-                source,
-            })?;
-        }
-        let at = self
-            .workers
-            .iter()
-            .position(|w| w.busy_with.is_none())
-            .expect("probe requires an idle worker");
-        let id = self.workers[at].id;
-        if let Some(tx) = self.workers[at].tx.as_mut() {
-            let _ = tx.send(&["probe".to_string(), var.to_string()]);
-        }
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(ExecError::WorkerTimeout {
-                    partition: 0,
-                    timeout: Duration::from_secs(30),
-                });
-            }
-            match self.rx.recv_timeout(deadline - now) {
-                Ok(FleetEvent::Frame { worker, parts }) if worker == id => {
-                    if let Some(at) = self.workers.iter().position(|w| w.id == id) {
-                        if self.workers[at].awaiting_hello {
-                            self.take_hello_ack(at, &parts)?;
-                            continue;
-                        }
-                    }
-                    return match (
-                        parts.first().map(String::as_str),
-                        parts.get(1).map(String::as_str),
-                    ) {
-                        (Some("ok"), Some("set")) => {
-                            Ok(parts.get(2).cloned().or(Some(String::new())))
-                        }
-                        (Some("ok"), Some("unset")) => Ok(None),
-                        _ => Err(ExecError::WorkerFailed {
-                            partition: 0,
-                            code: None,
-                            stderr: format!("malformed probe reply: {parts:?}"),
-                        }),
-                    };
-                }
-                Ok(FleetEvent::Eof { worker }) if worker == id => {
-                    let at = self.workers.iter().position(|w| w.id == worker);
-                    let (code, stderr) = match at {
-                        Some(at) => self.reap_worker(at),
-                        None => (None, String::new()),
-                    };
-                    return Err(ExecError::WorkerFailed {
-                        partition: 0,
-                        code,
-                        stderr,
-                    });
-                }
-                Ok(_) => continue, // stale event from an earlier run
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    return Err(ExecError::WorkerTimeout {
-                        partition: 0,
-                        timeout: Duration::from_secs(30),
-                    })
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    unreachable!("fleet holds its own sender")
-                }
-            }
-        }
     }
 
     /// Shuts the fleet down cooperatively: every worker is sent a

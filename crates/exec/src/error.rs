@@ -38,6 +38,15 @@ pub enum ExecError {
         /// description of the lost connection for remote workers.
         stderr: String,
     },
+    /// A live worker answered its job with an `err` reply: a
+    /// deterministic worker-side failure (bad input, unwritable output, a
+    /// shard reference it cannot resolve). Never retried.
+    JobFailed {
+        /// Partition of the failed job.
+        partition: usize,
+        /// The worker's own reason.
+        reason: String,
+    },
     /// A worker rejected (or failed) the protocol `hello` handshake —
     /// a version or configuration-fingerprint mismatch. Deterministic:
     /// never retried.
@@ -90,6 +99,12 @@ impl fmt::Display for ExecError {
                     write!(f, ": {stderr}")?;
                 }
                 Ok(())
+            }
+            ExecError::JobFailed { partition, reason } => {
+                write!(
+                    f,
+                    "worker for partition {partition} failed its job: {reason}"
+                )
             }
             ExecError::HelloRejected { worker, reason } => {
                 write!(f, "{worker} rejected the protocol handshake: {reason}")
@@ -168,6 +183,13 @@ mod tests {
                     stderr: String::new(),
                 },
                 "killed by a signal or lost its connection",
+            ),
+            (
+                ExecError::JobFailed {
+                    partition: 4,
+                    reason: "no --store root".into(),
+                },
+                "worker for partition 4 failed its job: no --store root",
             ),
             (
                 ExecError::HelloRejected {

@@ -32,14 +32,11 @@
 //!   [`crate::worker::WorkerArgs::to_args`]).
 //! * `["merge", --left L, --right R, --out O]` — compose two coreset
 //!   artifacts (left-then-right, order-preserving) into one.
-//! * `["probe", VAR]` — report whether env var `VAR` is set in the worker
-//!   process (regression surface for the coordinator's env hygiene).
 //! * `["shutdown"]` — end this connection cleanly (`["shutdown",
 //!   "process"]` additionally exits a socket-serving worker process).
 //!
 //! Replies: `["ok", k=v…]` with [`WorkerReport`]-shaped fields,
 //! `["ok", "hello", k=v…]` for an accepted handshake,
-//! `["ok", "set", value]` / `["ok", "unset"]` for probes,
 //! `["err-hello", reason]` for a rejected handshake (the worker then
 //! closes the connection),
 //! `["err-artifact", path, reason]` when a job's *input* artifact failed
@@ -81,7 +78,7 @@ impl MetricKind {
         MetricKind::CosineAngular,
     ];
 
-    /// Stable wire name (matches the metric's cache-fingerprint name).
+    /// Stable wire name.
     pub fn name(self) -> &'static str {
         match self {
             MetricKind::Euclidean => "euclidean",
@@ -253,10 +250,13 @@ pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Option<Vec<String>>> {
 }
 
 /// Version of the framed protocol itself. Bumped on any incompatible
-/// change to the frame layout, the verb set, or a verb's semantics; a
-/// worker speaking a different version rejects the handshake rather than
-/// risking an undefined merge.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// change to the frame layout, the verb set, or a verb's semantics —
+/// including a `kcenter_store::CODEC_VERSION` bump, which changes what a
+/// `coreset` job reads; a worker speaking a different version rejects the
+/// handshake rather than risking an undefined merge.
+///
+/// Version 2: codec v2 shards, and no `probe` verb.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Pulls `key=value` out of a hello frame's fields.
 fn hello_field<'a>(parts: &'a [String], key: &str) -> Option<&'a str> {
@@ -265,7 +265,7 @@ fn hello_field<'a>(parts: &'a [String], key: &str) -> Option<&'a str> {
 }
 
 /// The handshake frame a coordinator opens every persistent connection
-/// with: `["hello", "proto=1", "version=<crate>", "config=<fp|any>"]`.
+/// with: `["hello", "proto=2", "version=<crate>", "config=<fp|any>"]`.
 ///
 /// `config` is the coordinator's 128-bit configuration fingerprint as 32
 /// lowercase hex digits, or the literal `any` when it does not pin one —
@@ -545,7 +545,7 @@ mod tests {
         let cases: Vec<Vec<String>> = vec![
             vec![],
             vec!["shutdown".into()],
-            vec!["probe".into(), "KCENTER_CACHE_DIR".into()],
+            vec!["merge".into(), "--left".into(), "@store/a.kca".into()],
             vec!["coreset".into(), String::new(), "πδ≠ascii".into()],
             vec!["x".repeat(10_000)],
         ];
@@ -613,11 +613,14 @@ mod tests {
         // A pinned worker refuses an unpinned coordinator.
         let err = check_hello_request(&hello_request(None), Some(0x5678)).unwrap_err();
         assert!(err.contains("announced none"), "{err:?}");
-        // Protocol version mismatch, both directions.
-        let old = vec!["hello".to_string(), "proto=0".to_string()];
-        assert!(check_hello_request(&old, None)
-            .unwrap_err()
-            .contains("protocol version mismatch"));
+        // Protocol version mismatch, both directions. A proto=1 peer is a
+        // build from before codec v2: its shards would fail to decode.
+        for old in ["proto=0", "proto=1"] {
+            let request = vec!["hello".to_string(), old.to_string()];
+            assert!(check_hello_request(&request, None)
+                .unwrap_err()
+                .contains("protocol version mismatch"));
+        }
         let old_ack = vec![
             "ok".to_string(),
             "hello".to_string(),
@@ -631,6 +634,16 @@ mod tests {
         assert_eq!(parse_hello_ack(&rejected).unwrap_err(), "wrong tau");
         // Anything else is malformed.
         assert!(parse_hello_ack(&["ok".to_string()]).is_err());
+    }
+
+    #[test]
+    fn protocol_version_moves_with_the_codec_version() {
+        assert_eq!(
+            (PROTOCOL_VERSION, kcenter_store::CODEC_VERSION),
+            (2, 2),
+            "a CODEC_VERSION bump changes what a coreset job reads, so it must \
+             bump PROTOCOL_VERSION too (and update both numbers here)"
+        );
     }
 
     #[test]
@@ -658,8 +671,8 @@ mod tests {
         let before = vec![("metric.matrix.builds".to_string(), 2)];
         let after = vec![
             ("metric.matrix.builds".to_string(), 5),
-            ("metric.store.hits".to_string(), 0),
-            ("store.mmap.loads".to_string(), 1),
+            ("core.gmm.full_scans".to_string(), 0),
+            ("core.gmm.steps".to_string(), 1),
         ];
         let telemetry = WorkerTelemetry::from_counter_snapshots(Some(42), &before, &after);
         // Zero deltas are dropped; new-in-after counters diff against 0.
@@ -667,7 +680,7 @@ mod tests {
             telemetry.counters,
             vec![
                 ("metric.matrix.builds".to_string(), 3),
-                ("store.mmap.loads".to_string(), 1),
+                ("core.gmm.steps".to_string(), 1),
             ]
         );
         let reply = report.to_reply_with(&telemetry);

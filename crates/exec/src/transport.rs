@@ -14,8 +14,8 @@
 //! * [`PipeTransport`] — the default. Spawns one child process per link
 //!   (`worker --serve`) and frames over its stdin/stdout, exactly the
 //!   pre-transport behaviour: same argv, same environment hygiene
-//!   (`KCENTER_EXEC_FAULT` and `KCENTER_CACHE_DIR` stripped), same
-//!   reaping semantics (kill, wait, join the stderr drain).
+//!   (`KCENTER_EXEC_FAULT` and `KCENTER_TRACE` stripped), same reaping
+//!   semantics (kill, wait, join the stderr drain).
 //! * [`TcpDialTransport`] — connects out to workers started
 //!   independently with `kcenter worker --listen ADDR`. Each worker
 //!   address is a **slot**: one live link per address, re-dialled (with
@@ -46,7 +46,7 @@ use crate::protocol::{read_frame, write_frame};
 /// How to invoke a worker process: a program plus fixed leading arguments
 /// (the fleet appends `--serve`) and extra environment variables (set on
 /// top of the inherited environment, after the coordinator's strip of
-/// `KCENTER_EXEC_FAULT` and `KCENTER_CACHE_DIR`).
+/// `KCENTER_EXEC_FAULT` and `KCENTER_TRACE`).
 #[derive(Clone, Debug)]
 pub struct WorkerCommand {
     /// Program to execute.
@@ -266,15 +266,12 @@ impl Transport for PipeTransport {
             .arg("--serve")
             // These hooks must be *asked for*, never ambient: a stray
             // KCENTER_EXEC_FAULT from a debugging session must not make
-            // every worker crash, a stray KCENTER_CACHE_DIR must not
-            // let fleet workers silently diverge in cache accounting from
-            // the in-process engines, and the coordinator's KCENTER_TRACE
+            // every worker crash, and the coordinator's KCENTER_TRACE
             // must not have every pipe worker clobbering the same trace
             // file (workers report telemetry back on the wire instead).
             // Opt-ins go through `WorkerCommand::env`, which is applied
             // after the strip.
             .env_remove(crate::worker::FAULT_ENV)
-            .env_remove(kcenter_store::CACHE_DIR_ENV)
             .env_remove(kcenter_obs::TRACE_ENV)
             .envs(self.command.env.iter().map(|(k, v)| (k, v)))
             .stdin(Stdio::piped())

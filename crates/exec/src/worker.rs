@@ -460,13 +460,6 @@ fn serve_streams<R: Read, W: Write>(
                 }
                 return ServeOutcome::CloseConnection;
             }
-            "probe" => match parts.get(1) {
-                Some(var) => match std::env::var(var) {
-                    Ok(value) => vec!["ok".into(), "set".into(), value],
-                    Err(_) => vec!["ok".into(), "unset".into()],
-                },
-                None => vec!["err".into(), "probe requires a variable name".into()],
-            },
             "coreset" | "merge" => {
                 jobs_served += 1;
                 if crash_on_job == Some(jobs_served) {

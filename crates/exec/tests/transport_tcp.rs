@@ -9,8 +9,9 @@
 //!   references through a shared artifact store;
 //! * **Failure containment on the remote path** — a mid-job disconnect
 //!   is absorbed by reconnect-and-replay (still bitwise-identical), a
-//!   `--pin-config` mismatch is an attributed handshake rejection, and a
-//!   hung remote worker dies at the run deadline, never stalling the
+//!   `--pin-config` mismatch is an attributed handshake rejection, a job
+//!   a live worker cannot run is a job failure (not a process exit), and
+//!   a hung remote worker dies at the run deadline, never stalling the
 //!   coordinator.
 
 use std::io::{BufRead, BufReader};
@@ -45,7 +46,6 @@ impl TcpWorker {
         cmd.args(["--listen", "127.0.0.1:0"])
             .args(extra)
             .env_remove(kcenter_exec::worker::FAULT_ENV)
-            .env_remove(kcenter_store::CACHE_DIR_ENV)
             .stdout(Stdio::piped())
             .stderr(Stdio::null());
         for (key, value) in envs {
@@ -284,6 +284,43 @@ fn pinned_worker_rejects_mismatched_coordinator() {
 }
 
 #[test]
+fn worker_without_store_fails_the_job_and_keeps_listening() {
+    let points = dataset(200);
+    let config = MrKCenterConfig {
+        k: 3,
+        ell: 1,
+        coreset: CoresetSpec::Multiplier { mu: 1 },
+        seed: 1,
+    };
+    // The coordinator shares shards through a store, so its jobs carry
+    // `@store/…` references; this worker was started without `--store`.
+    let store_dir = std::env::temp_dir()
+        .join("kcenter-transport-tcp")
+        .join(format!("nostore-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_dir);
+    let mut worker = TcpWorker::listen(&[], &[]);
+    let mut exec = tcp_config(&[&worker], "nostore");
+    exec.shard_store = Some(ArtifactStore::open(&store_dir).unwrap());
+    let err = exec_mr_kcenter(&points, MetricKind::Euclidean, &config, &exec)
+        .expect_err("a worker without --store cannot resolve @store/ shards");
+    let message = err.to_string();
+    let ExecError::JobFailed { partition, reason } = err else {
+        panic!("expected JobFailed, got {err:?}");
+    };
+    assert_eq!(partition, 0);
+    assert!(reason.contains("--store"), "unexpected reason: {reason:?}");
+    assert!(
+        message.contains("failed its job") && !message.contains("exited"),
+        "a live worker's job failure reads as a process exit: {message:?}"
+    );
+    assert!(
+        matches!(worker.child.try_wait(), Ok(None)),
+        "the worker must still be running"
+    );
+    worker.stop();
+}
+
+#[test]
 fn hung_tcp_worker_is_killed_at_the_deadline() {
     let points = dataset(150);
     let config = MrKCenterConfig {
@@ -338,7 +375,6 @@ fn accept_transport_serves_dialing_workers() {
             Command::new(env!("CARGO_BIN_EXE_kcenter-exec-worker"))
                 .args(["--connect", &addr])
                 .env_remove(kcenter_exec::worker::FAULT_ENV)
-                .env_remove(kcenter_store::CACHE_DIR_ENV)
                 .stdout(Stdio::null())
                 .stderr(Stdio::null())
                 .spawn()

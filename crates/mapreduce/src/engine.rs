@@ -7,14 +7,10 @@
 //! whose size is the simulated parallelism `ℓ`, so wall-clock scalability
 //! experiments (paper Fig. 7) reflect the configured number of "processors".
 //!
-//! Reducers are ordinary closures and may resolve shared, even persistent,
-//! state: the outlier algorithms' round 2 prices its coreset union into a
-//! `kcenter_metric::CachedOracle` inside the reducer, which — when the
-//! process has a persistent store installed (`KCENTER_CACHE_DIR`) — loads
-//! a previously priced matrix from disk instead of rebuilding it. The
-//! engine itself stays oblivious; determinism of the round output is
-//! preserved because loaded artifacts are bitwise what a rebuild would
-//! produce.
+//! Reducers are ordinary closures and may resolve shared state: the
+//! outlier algorithms' round 2 prices its coreset union into a
+//! `kcenter_metric::CachedOracle` inside the reducer. The engine itself
+//! stays oblivious.
 
 use std::collections::BTreeMap;
 

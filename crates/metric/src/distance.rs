@@ -6,29 +6,8 @@
 //! inequality); the approximation guarantees of all algorithms rely on the
 //! triangle inequality.
 
-use crate::fingerprint::Fingerprint;
 use crate::kernels::{self, KernelMetric};
 use crate::pointset::Coordinates;
-
-/// Domain label folded into every [`Metric::cache_fingerprint`], bumped
-/// whenever the fingerprinting scheme itself changes incompatibly.
-const FINGERPRINT_DOMAIN: &str = "kcenter/metric-points/v1";
-
-/// Content fingerprint of `points` under a named metric: the key the
-/// persistent artifact store addresses proxy-scale distance matrices by.
-/// Order-sensitive (matrix entries are indexed by point position) and
-/// bit-exact over coordinates. Generic over [`Coordinates`], writing the
-/// same bytes for a `Point` slice and its [`crate::PointSet`] view — so
-/// owned and zero-copy loads of the same data share cache entries.
-fn fingerprint_points<P: Coordinates>(metric_name: &str, points: &[P]) -> u128 {
-    let mut fp = Fingerprint::with_domain(FINGERPRINT_DOMAIN);
-    fp.write_str(metric_name);
-    fp.write_usize(points.len());
-    for p in points {
-        fp.write_f64s(p.coords());
-    }
-    fp.finish()
-}
 
 /// A distance function over points of type `P`.
 ///
@@ -137,27 +116,6 @@ pub trait Metric<P: ?Sized>: Sync + Send {
         let _ = cmp_ac;
         None
     }
-
-    /// A deterministic content fingerprint of `points` *under this metric*,
-    /// or `None` when the metric cannot (or should not) key a persistent
-    /// cache entry.
-    ///
-    /// `Some(fp)` is a promise that any two point slices with the same
-    /// fingerprint produce bitwise-identical [`Metric::cmp_distance`]
-    /// matrices, across processes: the persistent artifact store uses it
-    /// to serve a previously priced matrix to a later run. Implementations
-    /// must therefore fold in a stable metric identity and the exact
-    /// coordinate bits, in order. The default `None` opts out — correct
-    /// for stateful or test-only metrics (e.g. [`Precomputed`], whose
-    /// identity lives in the matrix itself) and for ad-hoc wrappers, which
-    /// then simply keep the per-process cache behaviour.
-    fn cache_fingerprint(&self, points: &[P]) -> Option<u128>
-    where
-        P: Sized,
-    {
-        let _ = points;
-        None
-    }
 }
 
 /// Blanket implementation so `&M` can be passed where `M: Metric` is needed.
@@ -193,13 +151,6 @@ impl<P: ?Sized, M: Metric<P> + ?Sized> Metric<P> for &M {
     #[inline]
     fn cmp_prune_bound(&self, cmp_ac: f64) -> Option<f64> {
         (**self).cmp_prune_bound(cmp_ac)
-    }
-
-    fn cache_fingerprint(&self, points: &[P]) -> Option<u128>
-    where
-        P: Sized,
-    {
-        (**self).cache_fingerprint(points)
     }
 }
 
@@ -274,10 +225,6 @@ impl<P: Coordinates> Metric<P> for Euclidean {
     fn cmp_distance_block(&self, query: &P, block: &[P], out: &mut [f64]) {
         kernels::cmp_block(KernelMetric::Euclidean, query.coords(), block, out);
     }
-
-    fn cache_fingerprint(&self, points: &[P]) -> Option<u128> {
-        Some(fingerprint_points("euclidean", points))
-    }
 }
 
 /// The Manhattan (L1) metric.
@@ -304,10 +251,6 @@ impl<P: Coordinates> Metric<P> for Manhattan {
     fn cmp_prune_bound(&self, cmp_ac: f64) -> Option<f64> {
         prune_bound(cmp_ac, 0.5)
     }
-
-    fn cache_fingerprint(&self, points: &[P]) -> Option<u128> {
-        Some(fingerprint_points("manhattan", points))
-    }
 }
 
 /// The Chebyshev (L∞) metric.
@@ -333,10 +276,6 @@ impl<P: Coordinates> Metric<P> for Chebyshev {
     #[inline]
     fn cmp_prune_bound(&self, cmp_ac: f64) -> Option<f64> {
         prune_bound(cmp_ac, 0.5)
-    }
-
-    fn cache_fingerprint(&self, points: &[P]) -> Option<u128> {
-        Some(fingerprint_points("chebyshev", points))
     }
 }
 
@@ -376,10 +315,6 @@ impl<P: Coordinates> Metric<P> for CosineAngular {
     #[inline]
     fn cmp_distance_block(&self, query: &P, block: &[P], out: &mut [f64]) {
         kernels::cosine_block(query.coords(), block, out);
-    }
-
-    fn cache_fingerprint(&self, points: &[P]) -> Option<u128> {
-        Some(fingerprint_points("cosine-angular", points))
     }
 }
 

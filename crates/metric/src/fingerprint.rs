@@ -1,15 +1,16 @@
 //! Deterministic 128-bit fingerprints for cache keys and checksums.
 //!
 //! The persistent artifact store (`kcenter-store`) addresses entries by a
-//! fingerprint of their *inputs* — point coordinates, metric identity,
-//! dataset/coreset parameters — so that two runs deriving the same artifact
-//! read one cache entry, and any parameter change lands on a different key.
+//! fingerprint of their *inputs* — a shard's point coordinates, a CLI run's
+//! input and parameters, a session's key — so that two runs deriving the
+//! same artifact read one cache entry, and any parameter change lands on a
+//! different key.
 //! The hash therefore has to be
 //!
 //! * **deterministic across processes and platforms** (no `RandomState`,
 //!   no pointer-derived seeds): coordinates are folded in as little-endian
 //!   `f64::to_bits`, integers as little-endian fixed-width words;
-//! * **order-sensitive**: matrix entries are indexed by point position, so
+//! * **order-sensitive**: a shard's points are indexed by position, so
 //!   `[a, b]` and `[b, a]` must fingerprint differently;
 //! * cheap relative to the work it saves, and cheap next to reading the
 //!   bytes at all: the executor fingerprints every shard it dispatches and

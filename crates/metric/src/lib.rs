@@ -22,11 +22,8 @@
 //!   radius searches over one point set, and diameter bounds;
 //! * [`doubling`] — an empirical doubling-dimension estimator, the parameter
 //!   `D` that governs the coreset sizes in the paper's analysis;
-//! * [`fingerprint`] / [`persist`] — deterministic content fingerprints and
-//!   the process-wide persistence hook that lets `kcenter-store` serve
-//!   previously priced [`DistanceMatrix`] caches across *runs* (keyed by
-//!   [`Metric::cache_fingerprint`], accounted by [`store_hit_count`] /
-//!   [`store_miss_count`] next to [`matrix_build_count`]).
+//! * [`fingerprint`] — deterministic content fingerprints and the payload
+//!   checksum that `kcenter-store` keys and validates its entries with.
 //!
 //! All algorithms in `kcenter-core` are generic over `(P, M: Metric<P>)`, so
 //! they run unchanged on Euclidean points, on cosine-space embeddings, or on
@@ -38,7 +35,6 @@ pub mod fingerprint;
 pub mod kernels;
 pub mod meb;
 pub mod pairwise;
-pub mod persist;
 pub mod point;
 pub mod pointset;
 pub mod selection;
@@ -46,10 +42,6 @@ pub mod selection;
 pub use distance::{Chebyshev, CosineAngular, Euclidean, Manhattan, Metric, Precomputed};
 pub use fingerprint::Fingerprint;
 pub use meb::{minimum_enclosing_ball, Ball};
-pub use pairwise::{matrix_build_count, CachedOracle, DistanceMatrix, StableF64s};
-pub use persist::{
-    install_matrix_persistence, matrix_persistence_installed, store_hit_count, store_miss_count,
-    MatrixPersistence,
-};
+pub use pairwise::{matrix_build_count, CachedOracle, DistanceMatrix};
 pub use point::{Point, PointError};
-pub use pointset::{Coordinates, PointRef, PointSet, PointSetError};
+pub use pointset::{Coordinates, PointRef, PointSet, PointSetError, StableF64s};

@@ -2,8 +2,8 @@
 //!
 //! [`DistanceMatrix::build_cmp`] prices a point set into a condensed matrix
 //! of [`Metric::cmp_distance`] proxies, rayon-parallel over rows, and
-//! [`CachedOracle`] builds (or loads) that matrix at most once per handle
-//! family so the many radius guesses of round 2 share it.
+//! [`CachedOracle`] builds that matrix at most once per handle family so
+//! the many radius guesses of round 2 share it.
 //! [`diameter_bounds`] brackets a point set's diameter with one linear
 //! scan.
 
@@ -13,7 +13,6 @@ use std::sync::{Arc, OnceLock};
 use rayon::prelude::*;
 
 use crate::distance::Metric;
-use crate::persist;
 
 /// Process-wide count of [`DistanceMatrix`] builds, kept in the shared
 /// metrics registry under `metric.matrix.builds`. The figure sweeps report
@@ -47,83 +46,6 @@ pub fn diameter_bounds<P: Sync, M: Metric<P>>(points: &[P], metric: &M) -> (f64,
     (r, 2.0 * r)
 }
 
-/// An immutable `f64` buffer at a stable address, usable as the backing
-/// store of a [`DistanceMatrix`] without copying.
-///
-/// The persistent artifact store implements this for memory-mapped cache
-/// entries so a warm matrix load is a header validation plus a pointer,
-/// not a decode pass; [`Vec<f64>`] and [`Box<[f64]>`] implementations are
-/// provided for owned buffers shared behind an `Arc`.
-///
-/// # Safety
-///
-/// Implementations must return the **same** buffer from every call:
-/// immutable, at a stable address, and valid for as long as the value is
-/// alive. The matrix holds the value behind an `Arc` and keeps a raw view
-/// of the buffer for its own lifetime, so a buffer that moves, shrinks, or
-/// is mutated after construction is undefined behaviour.
-pub unsafe trait StableF64s: Send + Sync + 'static {
-    /// The backing buffer.
-    fn stable_f64s(&self) -> &[f64];
-}
-
-// SAFETY: behind the `Arc` the matrix holds, neither type can be mutated
-// or reallocated (no interior mutability; `Arc::get_mut` fails while the
-// matrix's clone is alive), so the heap buffer is stable and immutable.
-unsafe impl StableF64s for Vec<f64> {
-    fn stable_f64s(&self) -> &[f64] {
-        self
-    }
-}
-
-// SAFETY: as above — the boxed slice's buffer cannot move while shared.
-unsafe impl StableF64s for Box<[f64]> {
-    fn stable_f64s(&self) -> &[f64] {
-        self
-    }
-}
-
-/// The matrix's condensed entries: owned, or borrowed at a stable address
-/// from an external owner (e.g. a memory-mapped store entry).
-enum MatrixData {
-    Owned(Vec<f64>),
-    External(ExternalData),
-}
-
-/// A raw view into an external owner's buffer. The pointer is derived from
-/// [`StableF64s::stable_f64s`] at construction and stays valid because the
-/// owner is kept alive (and its buffer stable, per the trait contract) by
-/// the `Arc`.
-struct ExternalData {
-    ptr: *const f64,
-    len: usize,
-    _owner: Arc<dyn StableF64s>,
-}
-
-// SAFETY: the viewed buffer is immutable and the owner is Send + Sync, so
-// sharing or sending the raw view cannot race.
-unsafe impl Send for ExternalData {}
-unsafe impl Sync for ExternalData {}
-
-impl Clone for ExternalData {
-    fn clone(&self) -> Self {
-        ExternalData {
-            ptr: self.ptr,
-            len: self.len,
-            _owner: Arc::clone(&self._owner),
-        }
-    }
-}
-
-impl Clone for MatrixData {
-    fn clone(&self) -> Self {
-        match self {
-            MatrixData::Owned(v) => MatrixData::Owned(v.clone()),
-            MatrixData::External(e) => MatrixData::External(e.clone()),
-        }
-    }
-}
-
 /// A condensed symmetric matrix of [`Metric::cmp_distance`] proxies storing
 /// only the strict upper triangle (`n(n-1)/2` entries), with a zero
 /// diagonal.
@@ -131,33 +53,20 @@ impl Clone for MatrixData {
 /// Used by `OutliersCluster` to avoid recomputing distances across the
 /// multiple radius guesses of the binary search when the coreset is small
 /// enough to cache.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct DistanceMatrix {
     n: usize,
     /// Upper-triangular entries in row-major order:
     /// `(0,1), (0,2), …, (0,n-1), (1,2), …`.
-    data: MatrixData,
+    data: Vec<f64>,
 }
 
 impl std::fmt::Debug for DistanceMatrix {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DistanceMatrix")
             .field("n", &self.n)
-            .field("entries", &self.condensed().len())
-            .field(
-                "backing",
-                &match self.data {
-                    MatrixData::Owned(_) => "owned",
-                    MatrixData::External(_) => "external",
-                },
-            )
+            .field("entries", &self.data.len())
             .finish()
-    }
-}
-
-impl PartialEq for DistanceMatrix {
-    fn eq(&self, other: &Self) -> bool {
-        self.n == other.n && self.condensed() == other.condensed()
     }
 }
 
@@ -188,65 +97,7 @@ impl DistanceMatrix {
             metric.cmp_distance_block(&points[i], &points[i + 1..], row);
         });
         matrix_builds().inc();
-        DistanceMatrix {
-            n,
-            data: MatrixData::Owned(data),
-        }
-    }
-
-    /// Reassembles a matrix from its condensed upper-triangle entries —
-    /// the persistent store's decode path. Does **not** count as a build
-    /// ([`matrix_build_count`] only tracks matrices actually priced by
-    /// distance evaluations), which is what lets a warm-cache run prove
-    /// `matrix_build_count() == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != n·(n-1)/2`; the store's codec validates
-    /// entry counts (and a checksum) before calling this.
-    pub fn from_condensed(n: usize, data: Vec<f64>) -> Self {
-        assert_eq!(
-            data.len(),
-            n * n.saturating_sub(1) / 2,
-            "condensed length does not match n = {n}"
-        );
-        DistanceMatrix {
-            n,
-            data: MatrixData::Owned(data),
-        }
-    }
-
-    /// A matrix viewing an external owner's condensed entries **without
-    /// copying** — the persistent store's mmap-backed warm-load path. The
-    /// owner (typically a validated memory mapping) is kept alive behind
-    /// an `Arc`; per the [`StableF64s`] contract its buffer is immutable
-    /// and address-stable, so lookups are as fast as the owned path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the owner's buffer length is not `n·(n-1)/2`.
-    pub fn from_shared(n: usize, owner: Arc<dyn StableF64s>) -> Self {
-        let slice = owner.stable_f64s();
-        assert_eq!(
-            slice.len(),
-            n * n.saturating_sub(1) / 2,
-            "condensed length does not match n = {n}"
-        );
-        let (ptr, len) = (slice.as_ptr(), slice.len());
-        DistanceMatrix {
-            n,
-            data: MatrixData::External(ExternalData {
-                ptr,
-                len,
-                _owner: owner,
-            }),
-        }
-    }
-
-    /// Whether the condensed entries live in an external (e.g. memory-
-    /// mapped) buffer rather than an owned allocation.
-    pub fn is_externally_backed(&self) -> bool {
-        matches!(self.data, MatrixData::External(_))
+        DistanceMatrix { n, data }
     }
 
     /// Number of points.
@@ -281,12 +132,7 @@ impl DistanceMatrix {
     /// The condensed upper-triangle entries (for selection over candidates).
     #[inline]
     pub fn condensed(&self) -> &[f64] {
-        match &self.data {
-            MatrixData::Owned(v) => v,
-            // SAFETY: `ptr`/`len` were derived from the owner's stable,
-            // immutable buffer, which the held `Arc` keeps alive.
-            MatrixData::External(e) => unsafe { std::slice::from_raw_parts(e.ptr, e.len) },
-        }
+        &self.data
     }
 }
 
@@ -313,7 +159,6 @@ pub struct CachedOracle<'m, P, M> {
     metric: &'m M,
     cache: Arc<OnceLock<DistanceMatrix>>,
     builds: Arc<AtomicUsize>,
-    loads: Arc<AtomicUsize>,
     threshold: usize,
 }
 
@@ -324,7 +169,6 @@ impl<P, M> Clone for CachedOracle<'_, P, M> {
             metric: self.metric,
             cache: Arc::clone(&self.cache),
             builds: Arc::clone(&self.builds),
-            loads: Arc::clone(&self.loads),
             threshold: self.threshold,
         }
     }
@@ -339,7 +183,6 @@ impl<'m, P: Sync, M: Metric<P>> CachedOracle<'m, P, M> {
             metric,
             cache: Arc::new(OnceLock::new()),
             builds: Arc::new(AtomicUsize::new(0)),
-            loads: Arc::new(AtomicUsize::new(0)),
             threshold,
         }
     }
@@ -382,52 +225,16 @@ impl<'m, P: Sync, M: Metric<P>> CachedOracle<'m, P, M> {
         if self.points.len() > self.threshold {
             return None;
         }
-        Some(self.cache.get_or_init(|| self.resolve_matrix()))
+        Some(self.cache.get_or_init(|| {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            DistanceMatrix::build_cmp(&self.points, self.metric)
+        }))
     }
 
-    /// The `OnceLock` initializer body: consult the process-wide
-    /// persistence backend (when one is installed *and* the metric can
-    /// fingerprint the points), otherwise — or on any miss — price the
-    /// matrix and hand it back to the backend.
-    ///
-    /// A persisted matrix is only served when its size matches the point
-    /// set (a stale or fingerprint-colliding entry is treated as a miss),
-    /// and loading never counts as a build: warm runs must be able to
-    /// prove `matrix_build_count() == 0` while `store_hit_count() > 0`.
-    fn resolve_matrix(&self) -> DistanceMatrix {
-        if let Some(backend) = persist::matrix_persistence() {
-            if let Some(fingerprint) = self.metric.cache_fingerprint(&self.points) {
-                if let Some(matrix) = backend.load(fingerprint) {
-                    if matrix.len() == self.points.len() {
-                        persist::record_store_hit();
-                        self.loads.fetch_add(1, Ordering::Relaxed);
-                        return matrix;
-                    }
-                }
-                persist::record_store_miss();
-                self.builds.fetch_add(1, Ordering::Relaxed);
-                let matrix = DistanceMatrix::build_cmp(&self.points, self.metric);
-                backend.store(fingerprint, &matrix);
-                return matrix;
-            }
-        }
-        self.builds.fetch_add(1, Ordering::Relaxed);
-        DistanceMatrix::build_cmp(&self.points, self.metric)
-    }
-
-    /// How many times this handle family actually built its matrix (0
-    /// before first cached use, never more than 1; 0 forever when the
-    /// matrix was served by the persistent store — see
-    /// [`CachedOracle::load_count`]).
+    /// How many times this handle family built its matrix (0 before
+    /// first cached use, never more than 1).
     pub fn build_count(&self) -> usize {
         self.builds.load(Ordering::Relaxed)
-    }
-
-    /// How many times this handle family loaded its matrix from the
-    /// installed persistence backend instead of building it (0 or 1; a
-    /// resolved oracle always has `build_count() + load_count() == 1`).
-    pub fn load_count(&self) -> usize {
-        self.loads.load(Ordering::Relaxed)
     }
 }
 
@@ -531,63 +338,6 @@ mod tests {
         let _ = oracle.clone().matrix();
         assert!(matrix_build_count() > mid);
         assert_eq!(oracle.build_count(), 1);
-    }
-
-    #[test]
-    fn from_condensed_round_trips_without_counting_a_build() {
-        let points = pts(&[0.0, 2.0, 7.0, -1.0]);
-        let m = DistanceMatrix::build_cmp(&points, &Euclidean);
-        let before = matrix_build_count();
-        let rebuilt = DistanceMatrix::from_condensed(m.len(), m.condensed().to_vec());
-        assert_eq!(
-            matrix_build_count(),
-            before,
-            "loads must not count as builds"
-        );
-        assert_eq!(rebuilt.len(), m.len());
-        for i in 0..4 {
-            for j in 0..4 {
-                assert_eq!(rebuilt.get(i, j).to_bits(), m.get(i, j).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "condensed length")]
-    fn from_condensed_rejects_misaligned_data() {
-        let _ = DistanceMatrix::from_condensed(4, vec![0.0; 5]);
-    }
-
-    #[test]
-    fn from_shared_views_the_owner_without_copying() {
-        let points = pts(&[0.0, 2.0, 7.0, -1.0]);
-        let owned = DistanceMatrix::build_cmp(&points, &Euclidean);
-        let buffer: Arc<Vec<f64>> = Arc::new(owned.condensed().to_vec());
-        let before = matrix_build_count();
-        let shared = DistanceMatrix::from_shared(owned.len(), buffer.clone());
-        assert_eq!(matrix_build_count(), before, "views are not builds");
-        assert!(shared.is_externally_backed());
-        assert!(!owned.is_externally_backed());
-        // The view's data pointer is the owner's buffer: zero copy.
-        assert!(std::ptr::eq(shared.condensed().as_ptr(), buffer.as_ptr()));
-        assert_eq!(shared, owned);
-        let cloned = shared.clone();
-        drop(shared);
-        drop(buffer);
-        // The clone keeps the owner alive through its Arc.
-        for i in 0..4 {
-            for j in 0..4 {
-                assert_eq!(cloned.get(i, j).to_bits(), owned.get(i, j).to_bits());
-            }
-        }
-        assert!(format!("{cloned:?}").contains("external"));
-        assert!(format!("{owned:?}").contains("owned"));
-    }
-
-    #[test]
-    #[should_panic(expected = "condensed length")]
-    fn from_shared_rejects_misaligned_data() {
-        let _ = DistanceMatrix::from_shared(4, Arc::new(vec![0.0; 5]));
     }
 
     #[test]

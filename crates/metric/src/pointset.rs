@@ -10,8 +10,8 @@
 //! point-major `f64` block (row `i` is `coords[i·dim .. (i+1)·dim]`). That
 //! layout is byte-identical to the shard codec's on-disk coordinate block,
 //! so a mmap'd shard can be viewed as a `PointSet` with zero copies through
-//! the same [`StableF64s`] machinery the distance-matrix store already uses
-//! — the on-disk layout and the in-memory kernel layout are the same thing.
+//! [`StableF64s`] — the on-disk layout and the in-memory kernel layout are
+//! the same thing.
 //!
 //! [`PointRef`] is a borrowed view of one row, and the [`Coordinates`]
 //! trait lets metrics and algorithms treat `Point` and `PointRef`
@@ -28,8 +28,35 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::pairwise::StableF64s;
 use crate::point::Point;
+
+/// An immutable `f64` buffer at a stable address, usable as the backing
+/// block of a [`PointSet`] without copying.
+///
+/// The artifact store implements this for memory-mapped shard entries, so
+/// a worker views its shard's coordinate block in place; the
+/// [`Vec<f64>`] implementation backs the copy constructors.
+///
+/// # Safety
+///
+/// Implementations must return the **same** buffer from every call:
+/// immutable, at a stable address, and valid for as long as the value is
+/// alive. The point set holds the value behind an `Arc` and keeps a raw
+/// view of the buffer for its own lifetime, so a buffer that moves,
+/// shrinks, or is mutated after construction is undefined behaviour.
+pub unsafe trait StableF64s: Send + Sync + 'static {
+    /// The backing buffer.
+    fn stable_f64s(&self) -> &[f64];
+}
+
+// SAFETY: behind the `Arc` the point set holds, a `Vec` cannot be mutated
+// or reallocated (no interior mutability; `Arc::get_mut` fails while the
+// point set's clone is alive), so the heap buffer is stable and immutable.
+unsafe impl StableF64s for Vec<f64> {
+    fn stable_f64s(&self) -> &[f64] {
+        self
+    }
+}
 
 /// Anything that exposes a point as a flat finite-`f64` coordinate slice.
 ///
@@ -178,7 +205,7 @@ pub struct PointSet {
 
 // SAFETY: the viewed buffer is immutable and the owner is Send + Sync
 // (StableF64s supertraits), so sharing or sending the raw view cannot
-// race — the same argument as the matrix's external backing.
+// race.
 unsafe impl Send for PointSet {}
 unsafe impl Sync for PointSet {}
 

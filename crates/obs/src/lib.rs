@@ -1,9 +1,9 @@
 //! Unified observability for the kcenter workspace.
 //!
-//! Every subsystem — the metric/store caches, the multi-process
+//! Every subsystem — the distance-matrix cache, the multi-process
 //! executor, the streaming session server, the CLI, and the bench
 //! runner — reports through this one crate instead of hand-rolled
-//! statics and ad-hoc stderr lines. Three pieces:
+//! statics and ad-hoc stderr lines. Two pieces:
 //!
 //! * **A process-wide [`MetricsRegistry`]** of named counters, gauges,
 //!   and (microsecond) histograms. Handles are cheap `Arc<AtomicU64>`
@@ -19,9 +19,6 @@
 //!   sink is live — append one schema-stable JSONL record per span.
 //!   With the sink off, tracing is a few atomic ops and **zero output**,
 //!   which is what keeps the golden determinism suites byte-stable.
-//! * **Shared formatters** for the accounting lines several binaries
-//!   print (see [`cache_accounting_line`]), so the format is pinned in
-//!   exactly one place.
 //!
 //! The crate is intentionally dependency-free (std only) and sits below
 //! every other workspace crate.
@@ -40,66 +37,3 @@ pub use registry::{
 pub use trace::{
     event, init_trace, record_span, span, trace_enabled, Span, SpanRecord, TRACE_ENV, TRACE_SCHEMA,
 };
-
-/// The one true `cache-accounting:` stderr line.
-///
-/// The fig4/fig7/ablation binaries and the CLI all report distance-cache
-/// accounting on stderr; the golden suites parse it back. This is the
-/// single formatter they share, and `tests` pin the format so a drive-by
-/// edit fails loudly instead of silently desynchronizing the parsers.
-pub fn cache_accounting_line(builds: usize, hits: usize, misses: usize) -> String {
-    format!("cache-accounting: builds={builds} hits={hits} misses={misses}")
-}
-
-/// Parses a [`cache_accounting_line`] back into `(builds, hits, misses)`.
-///
-/// Accepts the line with or without surrounding noise lines; returns
-/// `None` when no well-formed accounting line is present.
-pub fn parse_cache_accounting(text: &str) -> Option<(usize, usize, usize)> {
-    let line = text
-        .lines()
-        .find(|l| l.trim_start().starts_with("cache-accounting:"))?;
-    let mut builds = None;
-    let mut hits = None;
-    let mut misses = None;
-    for field in line.trim_start()["cache-accounting:".len()..].split_whitespace() {
-        let (key, value) = field.split_once('=')?;
-        match key {
-            "builds" => builds = value.parse().ok(),
-            "hits" => hits = value.parse().ok(),
-            "misses" => misses = value.parse().ok(),
-            _ => {}
-        }
-    }
-    Some((builds?, hits?, misses?))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The format-pinning regression test the satellite task asks for:
-    /// the accounting line is parsed by `tests/fig_golden.rs` and the
-    /// bench binaries, so its shape is a contract, not a style choice.
-    #[test]
-    fn cache_accounting_format_is_pinned() {
-        assert_eq!(
-            cache_accounting_line(3, 12, 5),
-            "cache-accounting: builds=3 hits=12 misses=5"
-        );
-        assert_eq!(
-            cache_accounting_line(0, 0, 0),
-            "cache-accounting: builds=0 hits=0 misses=0"
-        );
-    }
-
-    #[test]
-    fn cache_accounting_round_trips_through_the_parser() {
-        let line = cache_accounting_line(7, 1, 0);
-        assert_eq!(parse_cache_accounting(&line), Some((7, 1, 0)));
-        let noisy = format!("banner\n  {line}\ntrailer");
-        assert_eq!(parse_cache_accounting(&noisy), Some((7, 1, 0)));
-        assert_eq!(parse_cache_accounting("no accounting here"), None);
-        assert_eq!(parse_cache_accounting("cache-accounting: builds=1"), None);
-    }
-}

@@ -133,7 +133,7 @@ impl Slot {
 /// One process-wide instance lives behind [`registry`]; tests may build
 /// private instances. Names are stable dotted paths — the dots become
 /// underscores in the Prometheus rendering — and a name permanently
-/// owns its kind: asking for `metric.store.hits` as a gauge after it
+/// owns its kind: asking for `metric.matrix.builds` as a gauge after it
 /// was registered as a counter is a programming error and panics.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {

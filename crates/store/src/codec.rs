@@ -24,9 +24,10 @@
 //!
 //! All multi-byte values are little-endian; `f64`s travel as raw bit
 //! patterns (`to_bits`/`from_bits`), so decoding reproduces every value —
-//! including `-0.0` and subnormals — **bitwise**. That is load-bearing:
-//! the determinism CI matrix asserts a warm-cache run is bit-identical to
-//! the cold run that populated the cache.
+//! including `-0.0` and subnormals — **bitwise**. That is load-bearing: a
+//! worker must rebuild exactly the partition the coordinator carved out,
+//! and a restored session or a cached solution must be bitwise the one
+//! that was stored.
 //!
 //! Decoding is total: any malformed input (truncation, flipped bytes,
 //! version or kind mismatch, inconsistent element counts) yields a
@@ -36,7 +37,7 @@
 use std::borrow::Borrow;
 
 use kcenter_metric::fingerprint::checksum64;
-use kcenter_metric::{DistanceMatrix, Point};
+use kcenter_metric::Point;
 
 /// File magic: identifies k-center artifact cache entries.
 pub const MAGIC: [u8; 8] = *b"KCARTC01";
@@ -52,7 +53,10 @@ pub const HEADER_LEN: usize = 32;
 /// What an artifact file contains.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ArtifactKind {
-    /// A condensed [`DistanceMatrix`] (proxy-scale pairwise distances).
+    /// A condensed distance matrix, as older builds persisted them. This
+    /// build has no matrix encoder or decoder; the kind keeps its tag and
+    /// name only so that `kcenter cache stat/prune/clear` still count and
+    /// remove the `matrix-*.kca` entries such builds left behind.
     Matrix,
     /// A weighted coreset: points plus proxy weights.
     Coreset,
@@ -261,70 +265,6 @@ fn unframe(kind: ArtifactKind, bytes: &[u8]) -> Result<&[u8], DecodeError> {
         return Err(DecodeError::ChecksumMismatch);
     }
     Ok(payload)
-}
-
-// ---------------------------------------------------------------------------
-// DistanceMatrix
-// ---------------------------------------------------------------------------
-
-/// Encodes a condensed [`DistanceMatrix`] (framed, checksummed).
-pub fn encode_matrix(matrix: &DistanceMatrix) -> Vec<u8> {
-    let condensed = matrix.condensed();
-    let mut out = unsealed(8 + 8 * condensed.len());
-    put_u64(&mut out, matrix.len() as u64);
-    for &d in condensed {
-        put_f64(&mut out, d);
-    }
-    seal(ArtifactKind::Matrix, out)
-}
-
-/// Fully validated layout of a matrix entry: everything needed to view the
-/// condensed `f64` payload in place (the mmap-backed warm-load path) or to
-/// decode it into an owned buffer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MatrixLayout {
-    /// Number of points.
-    pub n: usize,
-    /// Number of condensed entries, `n·(n-1)/2`.
-    pub entries: usize,
-    /// Byte offset of the first condensed `f64` within the whole entry
-    /// (header + count prefix); always 8-byte aligned, so a page-aligned
-    /// mapping of the file can reinterpret the payload as `&[f64]`.
-    pub data_offset: usize,
-}
-
-/// Validates a matrix entry — framing, checksum, and entry-count
-/// consistency — without materializing the entries.
-pub fn validate_matrix(bytes: &[u8]) -> Result<MatrixLayout, DecodeError> {
-    let payload = unframe(ArtifactKind::Matrix, bytes)?;
-    let mut r = Reader::new(payload);
-    let n = r.len()?;
-    let entries = n
-        .checked_mul(n.saturating_sub(1))
-        .map(|e| e / 2)
-        .ok_or(DecodeError::Malformed)?;
-    // The count must be consistent with the payload size before a caller
-    // commits to allocating (or mapping) `entries` slots.
-    if payload.len() != 8 + entries.checked_mul(8).ok_or(DecodeError::Malformed)? {
-        return Err(DecodeError::Malformed);
-    }
-    Ok(MatrixLayout {
-        n,
-        entries,
-        data_offset: HEADER_LEN + 8,
-    })
-}
-
-/// Decodes a [`DistanceMatrix`], bitwise-equal to what was encoded.
-pub fn decode_matrix(bytes: &[u8]) -> Result<DistanceMatrix, DecodeError> {
-    let layout = validate_matrix(bytes)?;
-    let mut r = Reader::new(&bytes[layout.data_offset..]);
-    let mut data = Vec::with_capacity(layout.entries);
-    for _ in 0..layout.entries {
-        data.push(r.f64()?);
-    }
-    r.finish()?;
-    Ok(DistanceMatrix::from_condensed(layout.n, data))
 }
 
 // ---------------------------------------------------------------------------
@@ -658,7 +598,6 @@ pub fn decode_session(bytes: &[u8]) -> Result<StoredSession, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kcenter_metric::Euclidean;
 
     /// Frames a hand-built payload, valid checksum included.
     fn frame(kind: ArtifactKind, payload: Vec<u8>) -> Vec<u8> {
@@ -669,36 +608,6 @@ mod tests {
 
     fn pts(coords: &[&[f64]]) -> Vec<Point> {
         coords.iter().map(|c| Point::new(c.to_vec())).collect()
-    }
-
-    #[test]
-    fn matrix_round_trip_is_bitwise_on_special_values() {
-        // Build a real matrix, then smuggle in bit-pattern-sensitive
-        // values via from_condensed: -0.0, subnormal, MAX, tiny.
-        let data = vec![
-            -0.0,
-            f64::MIN_POSITIVE / 2.0, // subnormal
-            f64::MAX,
-            1e-300,
-            3.5,
-            0.1 + 0.2, // not exactly 0.3
-        ];
-        let m = DistanceMatrix::from_condensed(4, data.clone());
-        let bytes = encode_matrix(&m);
-        let back = decode_matrix(&bytes).expect("round trip");
-        assert_eq!(back.len(), 4);
-        for (a, b) in back.condensed().iter().zip(&data) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn empty_and_singleton_matrices_round_trip() {
-        for n in [0usize, 1] {
-            let m = DistanceMatrix::from_condensed(n, Vec::new());
-            let back = decode_matrix(&encode_matrix(&m)).expect("round trip");
-            assert_eq!(back.len(), n);
-        }
     }
 
     #[test]
@@ -728,46 +637,48 @@ mod tests {
         assert_eq!(back, s);
     }
 
+    /// A small coreset entry: the vehicle of the framing tests below,
+    /// which hold for every kind.
+    fn sample_coreset() -> Vec<u8> {
+        encode_coreset(&pts(&[&[0.0], &[1.0], &[5.0]]), &[1, 2, 3])
+    }
+
     #[test]
     fn truncation_is_a_clean_error_at_every_length() {
-        let m = DistanceMatrix::build_cmp(&pts(&[&[0.0], &[1.0], &[5.0]]), &Euclidean);
-        let bytes = encode_matrix(&m);
+        let bytes = sample_coreset();
         for cut in 0..bytes.len() {
-            let err = decode_matrix(&bytes[..cut]).expect_err("truncated must fail");
+            let err = decode_coreset(&bytes[..cut]).expect_err("truncated must fail");
             assert!(
                 matches!(err, DecodeError::Truncated),
                 "cut at {cut}: {err:?}"
             );
         }
-        assert!(decode_matrix(&bytes).is_ok());
+        assert!(decode_coreset(&bytes).is_ok());
     }
 
     #[test]
     fn extended_file_is_rejected() {
-        let m = DistanceMatrix::build_cmp(&pts(&[&[0.0], &[1.0]]), &Euclidean);
-        let mut bytes = encode_matrix(&m);
+        let mut bytes = sample_coreset();
         bytes.push(0);
-        assert_eq!(decode_matrix(&bytes), Err(DecodeError::Truncated));
+        assert_eq!(decode_coreset(&bytes), Err(DecodeError::Truncated));
     }
 
     #[test]
     fn payload_corruption_fails_the_checksum() {
-        let m = DistanceMatrix::build_cmp(&pts(&[&[0.0], &[1.0], &[5.0]]), &Euclidean);
-        let mut bytes = encode_matrix(&m);
+        let mut bytes = sample_coreset();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
-        assert_eq!(decode_matrix(&bytes), Err(DecodeError::ChecksumMismatch));
+        assert_eq!(decode_coreset(&bytes), Err(DecodeError::ChecksumMismatch));
     }
 
     #[test]
     fn version_and_magic_mismatches_are_detected() {
-        let m = DistanceMatrix::build_cmp(&pts(&[&[0.0], &[1.0]]), &Euclidean);
-        let good = encode_matrix(&m);
+        let good = sample_coreset();
 
         let mut wrong_version = good.clone();
         wrong_version[8] = CODEC_VERSION as u8 + 1;
         assert_eq!(
-            decode_matrix(&wrong_version),
+            decode_coreset(&wrong_version),
             Err(DecodeError::VersionMismatch {
                 found: CODEC_VERSION + 1
             })
@@ -775,19 +686,22 @@ mod tests {
 
         let mut wrong_magic = good.clone();
         wrong_magic[0] = b'X';
-        assert_eq!(decode_matrix(&wrong_magic), Err(DecodeError::BadMagic));
+        assert_eq!(decode_coreset(&wrong_magic), Err(DecodeError::BadMagic));
     }
 
     #[test]
     fn kind_confusion_is_detected() {
-        let coreset = encode_coreset(&pts(&[&[1.0]]), &[1]);
-        assert_eq!(decode_matrix(&coreset), Err(DecodeError::KindMismatch));
-        let m = encode_matrix(&DistanceMatrix::from_condensed(0, Vec::new()));
-        assert_eq!(decode_coreset(&m), Err(DecodeError::KindMismatch));
-        assert_eq!(decode_solution(&m), Err(DecodeError::KindMismatch));
-        assert_eq!(decode_shard(&m), Err(DecodeError::KindMismatch));
+        let coreset = sample_coreset();
+        assert_eq!(decode_shard(&coreset), Err(DecodeError::KindMismatch));
+        assert_eq!(decode_solution(&coreset), Err(DecodeError::KindMismatch));
         let shard = encode_shard(&pts(&[&[1.0]]));
         assert_eq!(decode_coreset(&shard), Err(DecodeError::KindMismatch));
+        // A matrix entry an older build wrote decodes as nothing else.
+        let matrix = frame(ArtifactKind::Matrix, 0u64.to_le_bytes().to_vec());
+        assert_eq!(decode_coreset(&matrix), Err(DecodeError::KindMismatch));
+        assert_eq!(decode_solution(&matrix), Err(DecodeError::KindMismatch));
+        assert_eq!(decode_shard(&matrix), Err(DecodeError::KindMismatch));
+        assert_eq!(decode_session(&matrix), Err(DecodeError::KindMismatch));
     }
 
     #[test]
@@ -826,18 +740,6 @@ mod tests {
             bytes.len(),
             layout.coords_offset + 8 * layout.n * layout.dim
         );
-        // Matrix layout alignment too.
-        let m = encode_matrix(&DistanceMatrix::from_condensed(3, vec![1.0, 2.0, 3.0]));
-        let ml = validate_matrix(&m).unwrap();
-        assert_eq!(
-            ml,
-            MatrixLayout {
-                n: 3,
-                entries: 3,
-                data_offset: 40
-            }
-        );
-        assert_eq!(ml.data_offset % 8, 0);
     }
 
     #[test]
@@ -988,18 +890,23 @@ mod tests {
     fn session_kind_confusion_is_detected() {
         let session = encode_session(&sample_session());
         assert_eq!(decode_coreset(&session), Err(DecodeError::KindMismatch));
-        assert_eq!(decode_matrix(&session), Err(DecodeError::KindMismatch));
+        assert_eq!(decode_shard(&session), Err(DecodeError::KindMismatch));
         let coreset = encode_coreset(&pts(&[&[1.0]]), &[1]);
         assert_eq!(decode_session(&coreset), Err(DecodeError::KindMismatch));
     }
 
     #[test]
     fn inconsistent_counts_are_malformed() {
-        // Declare n = 100 but supply 1 entry.
+        // Declare n = 100 points of dimension 1 but supply one.
         let mut payload = Vec::new();
         put_u64(&mut payload, 100);
+        put_u64(&mut payload, 1);
         put_f64(&mut payload, 1.0);
-        let bytes = frame(ArtifactKind::Matrix, payload);
-        assert_eq!(decode_matrix(&bytes), Err(DecodeError::Malformed));
+        put_u64(&mut payload, 1); // its weight
+        let bytes = frame(ArtifactKind::Coreset, payload.clone());
+        assert_eq!(decode_coreset(&bytes), Err(DecodeError::Malformed));
+        payload.truncate(24);
+        let bytes = frame(ArtifactKind::Shard, payload);
+        assert_eq!(decode_shard(&bytes), Err(DecodeError::Malformed));
     }
 }

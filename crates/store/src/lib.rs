@@ -1,32 +1,23 @@
 #![warn(missing_docs)]
-//! Persistent, content-addressed artifact cache for the k-center workspace.
+//! Persistent, content-addressed artifact store for the k-center workspace.
 //!
-//! The in-process [`kcenter_metric::CachedOracle`] guarantees each coreset
-//! is priced into a proxy-scale distance matrix at most once *per process*;
-//! this crate extends the guarantee across processes. Artifacts —
-//! [`DistanceMatrix`] caches, weighted coresets, solved clusterings — are
-//! stored one-per-file in a cache directory, addressed by a deterministic
-//! 128-bit fingerprint of their inputs (point coordinate bits + metric
-//! identity for matrices via [`Metric::cache_fingerprint`]; dataset
-//! seed/spec + parameters for spec-keyed artifacts via
-//! [`kcenter_metric::Fingerprint`]), and encoded with a versioned,
+//! Artifacts — the executor's point shards, `kcenter serve`'s evicted
+//! streaming sessions, and the CLI's solved clusterings — are stored one
+//! per file in a cache directory, addressed by a deterministic 128-bit
+//! [`Fingerprint`] of their inputs (a shard's coordinates, a run's input
+//! and parameters, a session's key), and encoded with a versioned,
 //! checksummed binary codec ([`codec`]) whose decode path turns *any*
 //! corruption into a clean miss.
 //!
-//! Activation is strictly opt-in: nothing touches the disk unless a binary
-//! calls [`install_from_env`] (honouring `KCENTER_CACHE_DIR`) or
-//! [`install_at`], so tests and library consumers keep the pure in-process
-//! behaviour. Once installed, every layer that resolves a `CachedOracle` —
-//! `radius_search::solve_coreset{,_cached}`, MapReduce round 2, the 2-pass
-//! and streaming finalizations, the figure binaries, the CLI — reads warm
-//! matrices from disk (`store_hit_count()` rises, `matrix_build_count()`
-//! stays 0) and persists cold ones on the way out.
+//! Nothing touches the disk unless a caller opens a store: the CLI's
+//! `--cache-dir` (or `KCENTER_CACHE_DIR`, through
+//! [`ArtifactStore::from_env`]), or an executor configured with a shard
+//! store. Distance matrices are never stored: round 2 prices its coreset
+//! union in process.
 //!
 //! Writes are crash- and race-safe: an entry is written to a unique
 //! temporary file and atomically `rename`d into place, so concurrent
 //! writers to one key can only ever leave one writer's complete bytes.
-//!
-//! [`Metric::cache_fingerprint`]: kcenter_metric::Metric::cache_fingerprint
 
 pub mod codec;
 #[cfg(all(target_os = "linux", target_endian = "little"))]
@@ -35,26 +26,11 @@ pub mod mmap;
 use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use kcenter_metric::{DistanceMatrix, MatrixPersistence, Point};
+use kcenter_metric::Point;
 
 pub use codec::{ArtifactKind, DecodeError, StoredSession, StoredSolution, CODEC_VERSION};
-pub use kcenter_metric::{store_hit_count, store_miss_count, Fingerprint};
-
-/// Process-wide count of matrix loads served zero-copy from a memory
-/// mapping (always 0 on targets without the mmap fast path), kept in the
-/// shared metrics registry under `store.mmap.loads`. Tests use it to
-/// prove warm loads actually take the mapped path.
-fn mmap_loads() -> &'static kcenter_obs::Counter {
-    static COUNTER: std::sync::OnceLock<kcenter_obs::Counter> = std::sync::OnceLock::new();
-    COUNTER.get_or_init(|| kcenter_obs::counter("store.mmap.loads"))
-}
-
-/// Number of matrix loads this process served through the mmap fast path.
-pub fn store_mmap_load_count() -> usize {
-    mmap_loads().get() as usize
-}
+pub use kcenter_metric::Fingerprint;
 
 /// Environment variable naming the cache directory; unset or empty means
 /// the persistent store is off (the default, notably for tests).
@@ -86,7 +62,8 @@ pub struct KindStat {
 /// Snapshot of a cache directory's contents, per kind.
 #[derive(Clone, Debug, Default)]
 pub struct StoreStat {
-    /// Distance-matrix entries.
+    /// Distance-matrix entries older builds wrote (see
+    /// [`ArtifactKind::Matrix`]).
     pub matrix: KindStat,
     /// Weighted-coreset entries.
     pub coreset: KindStat,
@@ -222,68 +199,6 @@ impl ArtifactStore {
         std::fs::rename(&tmp, &dest).inspect_err(|_| {
             let _ = std::fs::remove_file(&tmp);
         })
-    }
-
-    /// Loads the distance matrix stored under `fingerprint`, if present
-    /// and valid.
-    ///
-    /// On Linux (little-endian) the entry is memory-mapped and — after
-    /// full header/checksum validation — served **zero-copy**: the matrix
-    /// views the mapping directly ([`DistanceMatrix::from_shared`]) instead
-    /// of decoding into an owned buffer. Any mapping or validation failure
-    /// falls back to the read-and-decode path, whose answer is canonical.
-    pub fn load_matrix(&self, fingerprint: u128) -> Option<DistanceMatrix> {
-        let path = self.entry_path(ArtifactKind::Matrix, fingerprint);
-        #[cfg(all(target_os = "linux", target_endian = "little"))]
-        if let Some(matrix) = Self::load_matrix_mapped(&path) {
-            mmap_loads().inc();
-            return Some(matrix);
-        }
-        let bytes = std::fs::read(path).ok()?;
-        codec::decode_matrix(&bytes).ok()
-    }
-
-    /// The mmap fast path behind [`ArtifactStore::load_matrix`]: any
-    /// failure is a `None` and the caller re-answers via read + decode.
-    #[cfg(all(target_os = "linux", target_endian = "little"))]
-    fn load_matrix_mapped(path: &Path) -> Option<DistanceMatrix> {
-        let map = mmap::MappedFile::open(path).ok()?;
-        let layout = codec::validate_matrix(map.bytes()).ok()?;
-        let block = mmap::MappedF64s::new(map, layout.data_offset, layout.entries)?;
-        Some(DistanceMatrix::from_shared(layout.n, Arc::new(block)))
-    }
-
-    /// Persists a distance matrix under `fingerprint`.
-    pub fn store_matrix(&self, fingerprint: u128, matrix: &DistanceMatrix) -> std::io::Result<()> {
-        self.store_raw(
-            ArtifactKind::Matrix,
-            fingerprint,
-            &codec::encode_matrix(matrix),
-        )
-    }
-
-    /// Loads the weighted coreset stored under `fingerprint`.
-    pub fn load_coreset(&self, fingerprint: u128) -> Option<(Vec<Point>, Vec<u64>)> {
-        let bytes = self.load_raw(ArtifactKind::Coreset, fingerprint)?;
-        codec::decode_coreset(&bytes).ok()
-    }
-
-    /// Persists a weighted coreset under `fingerprint`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points` and `weights` lengths differ.
-    pub fn store_coreset(
-        &self,
-        fingerprint: u128,
-        points: &[Point],
-        weights: &[u64],
-    ) -> std::io::Result<()> {
-        self.store_raw(
-            ArtifactKind::Coreset,
-            fingerprint,
-            &codec::encode_coreset(points, weights),
-        )
     }
 
     /// Loads the solution stored under `fingerprint`.
@@ -491,67 +406,9 @@ pub struct PruneReport {
     pub remaining_bytes: u64,
 }
 
-/// [`MatrixPersistence`] backend over an [`ArtifactStore`]: what
-/// [`install_from_env`]/[`install_at`] hang under
-/// [`kcenter_metric::CachedOracle`].
-pub struct StoreBackend {
-    store: ArtifactStore,
-}
-
-impl StoreBackend {
-    /// Wraps a store as a matrix-persistence backend.
-    pub fn new(store: ArtifactStore) -> StoreBackend {
-        StoreBackend { store }
-    }
-}
-
-impl MatrixPersistence for StoreBackend {
-    fn load(&self, fingerprint: u128) -> Option<DistanceMatrix> {
-        self.store.load_matrix(fingerprint)
-    }
-
-    fn store(&self, fingerprint: u128, matrix: &DistanceMatrix) {
-        // Best-effort: a full disk or permission error costs persistence,
-        // never the run.
-        if let Err(err) = self.store_matrix_checked(fingerprint, matrix) {
-            eprintln!("kcenter-store: failed to persist matrix: {err}");
-        }
-    }
-}
-
-impl StoreBackend {
-    fn store_matrix_checked(
-        &self,
-        fingerprint: u128,
-        matrix: &DistanceMatrix,
-    ) -> std::io::Result<()> {
-        self.store.store_matrix(fingerprint, matrix)
-    }
-}
-
-/// Installs the disk-backed matrix persistence at `dir` for the whole
-/// process and returns the store handle. A later call (or a competing
-/// [`install_from_env`]) is a no-op on the global hook but still returns a
-/// usable handle for direct artifact access.
-pub fn install_at(dir: impl Into<PathBuf>) -> std::io::Result<ArtifactStore> {
-    let store = ArtifactStore::open(dir)?;
-    kcenter_metric::install_matrix_persistence(Arc::new(StoreBackend::new(store.clone())));
-    Ok(store)
-}
-
-/// Installs disk-backed matrix persistence from `KCENTER_CACHE_DIR`, if
-/// set; the standard first line of every figure/bench binary and the CLI.
-/// Returns the active store handle, or `None` when caching is off.
-pub fn install_from_env() -> Option<ArtifactStore> {
-    let store = ArtifactStore::from_env()?;
-    kcenter_metric::install_matrix_persistence(Arc::new(StoreBackend::new(store.clone())));
-    Some(store)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kcenter_metric::Euclidean;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -561,20 +418,20 @@ mod tests {
         dir
     }
 
-    fn sample_matrix() -> DistanceMatrix {
-        let points: Vec<Point> = (0..6).map(|i| Point::new(vec![i as f64 * 1.25])).collect();
-        DistanceMatrix::build_cmp(&points, &Euclidean)
+    fn sample_shard() -> Vec<Point> {
+        (0..6)
+            .map(|i| Point::new(vec![i as f64 * 1.25, -0.5 * i as f64]))
+            .collect()
     }
 
-    #[test]
-    fn store_and_reload_matrix() {
-        let store = ArtifactStore::open(tmp_dir("matrix")).unwrap();
-        let m = sample_matrix();
-        assert!(store.load_matrix(7).is_none(), "empty store must miss");
-        store.store_matrix(7, &m).unwrap();
-        let back = store.load_matrix(7).expect("hit after store");
-        assert_eq!(back.condensed(), m.condensed());
-        assert!(store.load_matrix(8).is_none(), "other keys still miss");
+    /// A matrix entry as older builds wrote it: a valid header of kind
+    /// [`ArtifactKind::Matrix`] over a checksummed payload. The checksum
+    /// covers the payload only, so re-tagging a shard's bytes is enough;
+    /// this build has no matrix encoder.
+    fn legacy_matrix_entry() -> Vec<u8> {
+        let mut bytes = codec::encode_shard(&sample_shard());
+        bytes[12..16].copy_from_slice(&ArtifactKind::Matrix.tag().to_le_bytes());
+        bytes
     }
 
     #[test]
@@ -593,28 +450,39 @@ mod tests {
     #[test]
     fn corrupt_entry_is_a_clean_miss() {
         let store = ArtifactStore::open(tmp_dir("corrupt")).unwrap();
-        let m = sample_matrix();
-        store.store_matrix(1, &m).unwrap();
-        let path = store.entry_path(ArtifactKind::Matrix, 1);
+        store.store_shard(1, &sample_shard()).unwrap();
+        let path = store.entry_path(ArtifactKind::Shard, 1);
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(store.load_matrix(1).is_none());
+        assert!(store.load_shard(1).is_none());
         // Truncated file on disk.
         std::fs::write(&path, &bytes[..10]).unwrap();
-        assert!(store.load_matrix(1).is_none());
+        assert!(store.load_shard(1).is_none());
         // Empty file on disk.
         std::fs::write(&path, b"").unwrap();
-        assert!(store.load_matrix(1).is_none());
+        assert!(store.load_shard(1).is_none());
     }
 
     #[test]
     fn stat_and_clear_account_all_kinds() {
         let store = ArtifactStore::open(tmp_dir("stat")).unwrap();
-        store.store_matrix(1, &sample_matrix()).unwrap();
+        // A current-version matrix entry, as older builds wrote them:
+        // stat must count it and clear must remove it.
         store
-            .store_coreset(2, &[Point::new(vec![1.0])], &[3])
+            .store_raw(ArtifactKind::Matrix, 1, &legacy_matrix_entry())
+            .unwrap();
+        assert!(store
+            .dir()
+            .join(format!("matrix-{:032x}.kca", 1u128))
+            .exists());
+        store
+            .store_raw(
+                ArtifactKind::Coreset,
+                2,
+                &codec::encode_coreset(&[Point::new(vec![1.0])], &[3]),
+            )
             .unwrap();
         store
             .store_solution(
@@ -627,23 +495,37 @@ mod tests {
                 },
             )
             .unwrap();
+        store.store_shard(4, &sample_shard()).unwrap();
+        store
+            .store_session(
+                5,
+                &StoredSession {
+                    tau: 4,
+                    initialized: false,
+                    phi: 0.0,
+                    processed: 1,
+                    centers: vec![Point::new(vec![2.0])],
+                    weights: vec![1],
+                },
+            )
+            .unwrap();
         // Unrelated files must be ignored by stat and survive clear —
         // including one that merely starts with "tmp-" but is not the
         // store's temp shape.
         std::fs::write(store.dir().join("README.txt"), b"not an artifact").unwrap();
         std::fs::write(store.dir().join("tmp-backup.tar"), b"user data").unwrap();
         // A stale tmp file of the store's own shape must be cleared.
-        std::fs::write(store.dir().join("tmp-matrix-dead"), b"partial").unwrap();
+        std::fs::write(store.dir().join("tmp-shard-dead"), b"partial").unwrap();
 
         let stat = store.stat().unwrap();
-        assert_eq!(stat.matrix.entries, 1);
-        assert_eq!(stat.coreset.entries, 1);
-        assert_eq!(stat.solution.entries, 1);
-        assert_eq!(stat.total_entries(), 3);
+        for kind in ArtifactKind::ALL {
+            assert_eq!(stat.kind(kind).entries, 1, "{kind:?}");
+        }
+        assert_eq!(stat.total_entries(), 5);
         assert!(stat.total_bytes() > 0);
 
         let removed = store.clear().unwrap();
-        assert_eq!(removed, 4, "3 entries + 1 stale tmp");
+        assert_eq!(removed, 6, "5 entries + 1 stale tmp");
         assert_eq!(store.stat().unwrap().total_entries(), 0);
         assert!(store.dir().join("README.txt").exists());
         assert!(store.dir().join("tmp-backup.tar").exists());
@@ -652,12 +534,12 @@ mod tests {
     #[test]
     fn overwrite_replaces_the_entry() {
         let store = ArtifactStore::open(tmp_dir("overwrite")).unwrap();
-        let m1 = DistanceMatrix::from_condensed(2, vec![1.0]);
-        let m2 = DistanceMatrix::from_condensed(2, vec![2.0]);
-        store.store_matrix(9, &m1).unwrap();
-        store.store_matrix(9, &m2).unwrap();
-        assert_eq!(store.load_matrix(9).unwrap().condensed(), &[2.0]);
-        assert_eq!(store.stat().unwrap().matrix.entries, 1);
+        let first = vec![Point::new(vec![1.0])];
+        let second = vec![Point::new(vec![2.0])];
+        store.store_shard(9, &first).unwrap();
+        store.store_shard(9, &second).unwrap();
+        assert_eq!(store.load_shard(9).unwrap(), second);
+        assert_eq!(store.stat().unwrap().shard.entries, 1);
     }
 
     #[test]
@@ -686,40 +568,24 @@ mod tests {
         assert_eq!(store.clear().unwrap(), 1);
     }
 
-    #[cfg(all(target_os = "linux", target_endian = "little"))]
-    #[test]
-    fn warm_matrix_load_takes_the_mmap_path_bitwise() {
-        let store = ArtifactStore::open(tmp_dir("mmap-load")).unwrap();
-        let m = sample_matrix();
-        store.store_matrix(21, &m).unwrap();
-        let before = store_mmap_load_count();
-        let back = store.load_matrix(21).expect("hit");
-        assert!(
-            store_mmap_load_count() > before,
-            "warm load must take the mmap fast path"
-        );
-        assert!(back.is_externally_backed(), "no decode copy on warm loads");
-        assert_eq!(back.len(), m.len());
-        for (a, b) in back.condensed().iter().zip(m.condensed()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // A corrupted entry must fail cleanly through both paths.
-        let path = store.entry_path(ArtifactKind::Matrix, 21);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(store.load_matrix(21).is_none());
-    }
-
     #[test]
     fn prune_evicts_oldest_first_within_budget() {
         let store = ArtifactStore::open(tmp_dir("prune")).unwrap();
-        // Three same-size matrix entries with strictly increasing mtimes.
-        let m = sample_matrix();
-        for fp in [1u128, 2, 3] {
-            store.store_matrix(fp, &m).unwrap();
-            let path = store.entry_path(ArtifactKind::Matrix, fp);
+        // Three same-size entries with strictly increasing mtimes. The
+        // oldest is a current-version matrix entry as older builds wrote
+        // it: pruning must evict it like any other kind.
+        store
+            .store_raw(ArtifactKind::Matrix, 1, &legacy_matrix_entry())
+            .unwrap();
+        store.store_shard(2, &sample_shard()).unwrap();
+        store.store_shard(3, &sample_shard()).unwrap();
+        let kinds = [
+            ArtifactKind::Matrix,
+            ArtifactKind::Shard,
+            ArtifactKind::Shard,
+        ];
+        for (fp, kind) in (1u128..).zip(kinds) {
+            let path = store.entry_path(kind, fp);
             // Space the mtimes out explicitly: filesystem timestamp
             // granularity is too coarse to rely on write order.
             let when = std::time::SystemTime::UNIX_EPOCH
@@ -729,18 +595,18 @@ mod tests {
         }
         // An unrelated file and a stale tmp; only the tmp may be removed.
         std::fs::write(store.dir().join("notes.txt"), b"keep me").unwrap();
-        std::fs::write(store.dir().join("tmp-matrix-dead"), b"partial").unwrap();
+        std::fs::write(store.dir().join("tmp-shard-dead"), b"partial").unwrap();
 
-        let entry_bytes = store.stat().unwrap().matrix.bytes / 3;
+        let entry_bytes = store.stat().unwrap().total_bytes() / 3;
         // Budget for exactly two entries: the oldest (fp = 1) must go.
         let report = store.prune(2 * entry_bytes).unwrap();
         assert_eq!(report.removed, 2, "oldest entry + stale tmp");
         assert_eq!(report.removed_bytes, entry_bytes);
         assert_eq!(report.remaining_entries, 2);
         assert_eq!(report.remaining_bytes, 2 * entry_bytes);
-        assert!(store.load_matrix(1).is_none(), "oldest evicted");
-        assert!(store.load_matrix(2).is_some());
-        assert!(store.load_matrix(3).is_some());
+        assert_eq!(store.stat().unwrap().matrix.entries, 0, "oldest evicted");
+        assert!(store.load_shard(2).is_some());
+        assert!(store.load_shard(3).is_some());
         assert!(store.dir().join("notes.txt").exists());
 
         // A generous budget removes nothing.
@@ -796,7 +662,7 @@ mod tests {
             weights: vec![1, 1],
         };
         let entries = [
-            (ArtifactKind::Matrix, codec::encode_matrix(&sample_matrix())),
+            (ArtifactKind::Matrix, legacy_matrix_entry()),
             (
                 ArtifactKind::Coreset,
                 codec::encode_coreset(&points, &[1, 2]),
@@ -809,9 +675,9 @@ mod tests {
             store.store_raw(kind, fp as u128, &as_v1(bytes)).unwrap();
         }
 
-        // Every load is a miss; `load_matrix` tries its mmap path first.
-        assert!(store.load_matrix(0).is_none());
-        assert!(store.load_coreset(1).is_none());
+        // Every load is a miss.
+        let coreset = store.load_raw(ArtifactKind::Coreset, 1).unwrap();
+        assert!(codec::decode_coreset(&coreset).is_err());
         assert!(store.load_solution(2).is_none());
         assert!(store.load_shard(3).is_none());
         assert!(store.load_session(4).is_none());

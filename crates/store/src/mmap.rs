@@ -1,13 +1,14 @@
-//! Read-only memory mapping for zero-copy warm loads (Linux,
+//! Read-only memory mapping for zero-copy shard loads (Linux,
 //! little-endian).
 //!
-//! Warm matrix loads used to pay two copies: `fs::read` into a byte buffer,
-//! then an element-wise decode into a fresh `Vec<f64>`. The store's codec
-//! deliberately lays every `f64` block out contiguously at an 8-byte-aligned
-//! offset in little-endian bit patterns, so on a little-endian machine a
-//! page-aligned mapping of the file *is* the condensed buffer: after header
-//! and checksum validation the [`DistanceMatrix`] simply views the mapping
-//! ([`DistanceMatrix::from_shared`]) and both copies disappear.
+//! A shard read through `fs::read` pays two copies: the byte buffer, then
+//! an element-wise decode into owned points. The store's codec lays every
+//! `f64` block out contiguously at an 8-byte-aligned offset in
+//! little-endian bit patterns, so on a little-endian machine a
+//! page-aligned mapping of a shard entry *is* its coordinate block: after
+//! header and checksum validation the executor's workers view the mapping
+//! as a [`PointSet`] ([`PointSet::try_from_shared`]) and both copies
+//! disappear.
 //!
 //! The binding calls `mmap`/`munmap` through the C runtime directly (the
 //! workspace vendors no external crates); everything is gated to Linux and
@@ -19,8 +20,8 @@
 //! under the reader — the `SIGBUS` hazard of mapping mutable files does not
 //! apply to this store's discipline.
 //!
-//! [`DistanceMatrix`]: kcenter_metric::DistanceMatrix
-//! [`DistanceMatrix::from_shared`]: kcenter_metric::DistanceMatrix::from_shared
+//! [`PointSet`]: kcenter_metric::PointSet
+//! [`PointSet::try_from_shared`]: kcenter_metric::PointSet::try_from_shared
 
 use std::fs::File;
 use std::io;
@@ -107,7 +108,7 @@ impl Drop for MappedFile {
 }
 
 /// A validated `f64` block inside a [`MappedFile`]: the stable buffer a
-/// [`kcenter_metric::DistanceMatrix`] can view without copying.
+/// [`kcenter_metric::PointSet`] can view without copying.
 pub struct MappedF64s {
     map: MappedFile,
     /// Byte offset of the block; checked 8-aligned at construction.

@@ -3,29 +3,12 @@
 //! arbitrary corruption into a clean [`DecodeError`] — never a panic,
 //! never a silently wrong value.
 
-use kcenter_metric::{DistanceMatrix, Point};
+use kcenter_metric::Point;
 use kcenter_store::codec::{
-    decode_coreset, decode_matrix, decode_solution, encode_coreset, encode_matrix, encode_solution,
+    decode_coreset, decode_session, decode_shard, decode_solution, encode_coreset, encode_solution,
     StoredSolution,
 };
 use proptest::prelude::*;
-
-/// Condensed matrix entries with *arbitrary bit patterns* (including NaN
-/// payloads, infinities, subnormals, -0.0): the codec ships raw bits and
-/// must not normalize them.
-fn arb_matrix() -> impl Strategy<Value = DistanceMatrix> {
-    prop::collection::vec(0u64..u64::MAX, 0..67).prop_map(|bits| {
-        // Largest n with n(n-1)/2 <= len, so every generated length maps
-        // onto a valid condensed matrix.
-        let mut n = 0usize;
-        while (n + 1) * n / 2 <= bits.len() {
-            n += 1;
-        }
-        let entries = n * n.saturating_sub(1) / 2;
-        let data: Vec<f64> = bits[..entries].iter().map(|&b| f64::from_bits(b)).collect();
-        DistanceMatrix::from_condensed(n, data)
-    })
-}
 
 /// Finite-coordinate points of one fixed dimension plus weights.
 fn arb_coreset(dim: usize) -> impl Strategy<Value = (Vec<Point>, Vec<u64>)> {
@@ -49,17 +32,6 @@ fn bits_of(points: &[Point]) -> Vec<Vec<u64>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn matrix_round_trip_is_bitwise(m in arb_matrix()) {
-        let bytes = encode_matrix(&m);
-        let back = decode_matrix(&bytes).expect("valid encoding must decode");
-        prop_assert_eq!(back.len(), m.len());
-        prop_assert_eq!(back.condensed().len(), m.condensed().len());
-        for (a, b) in back.condensed().iter().zip(m.condensed()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
 
     #[test]
     fn coreset_round_trip_is_bitwise((points, weights) in arb_coreset(3)) {
@@ -91,35 +63,39 @@ proptest! {
     }
 
     #[test]
-    fn any_truncation_is_a_clean_miss(m in arb_matrix(), frac in 0.0..1.0f64) {
-        let bytes = encode_matrix(&m);
+    fn any_truncation_is_a_clean_miss(
+        (points, weights) in arb_coreset(2),
+        frac in 0.0..1.0f64,
+    ) {
+        let bytes = encode_coreset(&points, &weights);
         let cut = ((bytes.len() as f64) * frac) as usize;
         // Strictly shorter than the valid encoding.
         let cut = cut.min(bytes.len().saturating_sub(1));
-        prop_assert!(decode_matrix(&bytes[..cut]).is_err());
+        prop_assert!(decode_coreset(&bytes[..cut]).is_err());
     }
 
     #[test]
     fn any_single_byte_flip_is_a_clean_miss(
-        m in arb_matrix(),
+        (points, weights) in arb_coreset(2),
         pos_frac in 0.0..1.0f64,
         flip in 1u8..=255,
     ) {
-        let mut bytes = encode_matrix(&m);
+        let mut bytes = encode_coreset(&points, &weights);
         let pos = ((bytes.len() as f64) * pos_frac) as usize;
         let pos = pos.min(bytes.len() - 1);
         bytes[pos] ^= flip;
         // Header flips fail structurally; payload flips fail the
         // checksum. Either way: an error, never a panic, never data.
-        prop_assert!(decode_matrix(&bytes).is_err(), "flip at {pos} undetected");
+        prop_assert!(decode_coreset(&bytes).is_err(), "flip at {pos} undetected");
     }
 
     #[test]
     fn decoding_arbitrary_garbage_never_panics(
         bytes in prop::collection::vec(0u8..=255, 0..200)
     ) {
-        let _ = decode_matrix(&bytes);
         let _ = decode_coreset(&bytes);
         let _ = decode_solution(&bytes);
+        let _ = decode_shard(&bytes);
+        let _ = decode_session(&bytes);
     }
 }

@@ -6,7 +6,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use kcenter_metric::DistanceMatrix;
+use kcenter_metric::Point;
 use kcenter_store::ArtifactStore;
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -17,12 +17,12 @@ fn tmp_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// A recognizable matrix: every entry carries the writer's tag so a read
-/// can be attributed (and a mixed read detected).
-fn tagged_matrix(tag: f64) -> DistanceMatrix {
-    let n = 64usize;
-    let data: Vec<f64> = (0..n * (n - 1) / 2).map(|i| tag + i as f64).collect();
-    DistanceMatrix::from_condensed(n, data)
+/// A recognizable shard: every coordinate carries the writer's tag so a
+/// read can be attributed (and a mixed read detected).
+fn tagged_shard(tag: f64) -> Vec<Point> {
+    (0..512)
+        .map(|i| Point::new((0..8).map(|d| tag + (8 * i + d) as f64).collect()))
+        .collect()
 }
 
 #[test]
@@ -31,10 +31,10 @@ fn two_writers_one_key_never_corrupt_the_entry() {
     const ROUNDS: usize = 200;
 
     let store = ArtifactStore::open(tmp_dir("two-writers")).unwrap();
-    let a = tagged_matrix(1_000_000.0);
-    let b = tagged_matrix(2_000_000.0);
+    let a = tagged_shard(1_000_000.0);
+    let b = tagged_shard(2_000_000.0);
     // Seed the key so readers never see "no entry yet".
-    store.store_matrix(KEY, &a).unwrap();
+    store.store_shard(KEY, &a).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
     let writers: Vec<_> = [a.clone(), b.clone()]
@@ -43,7 +43,7 @@ fn two_writers_one_key_never_corrupt_the_entry() {
             let store = store.clone();
             std::thread::spawn(move || {
                 for _ in 0..ROUNDS {
-                    store.store_matrix(KEY, &m).unwrap();
+                    store.store_shard(KEY, &m).unwrap();
                 }
             })
         })
@@ -57,12 +57,12 @@ fn two_writers_one_key_never_corrupt_the_entry() {
             let mut reads = 0usize;
             while !stop.load(Ordering::Relaxed) {
                 let m = store
-                    .load_matrix(KEY)
+                    .load_shard(KEY)
                     .expect("entry must always decode while writers race");
-                // The loaded matrix must be exactly one writer's version.
+                // The loaded shard must be exactly one writer's version.
                 assert!(
                     m == a || m == b,
-                    "read a matrix that is neither writer's version"
+                    "read a shard that is neither writer's version"
                 );
                 reads += 1;
             }
@@ -78,9 +78,9 @@ fn two_writers_one_key_never_corrupt_the_entry() {
     assert!(reads > 0, "reader must have observed the entry");
 
     // After the dust settles: exactly one entry for the key, fully valid.
-    let settled = store.load_matrix(KEY).expect("entry survives the race");
+    let settled = store.load_shard(KEY).expect("entry survives the race");
     assert!(settled == a || settled == b);
-    assert_eq!(store.stat().unwrap().matrix.entries, 1);
+    assert_eq!(store.stat().unwrap().shard.entries, 1);
 }
 
 #[test]
@@ -90,10 +90,10 @@ fn distinct_keys_do_not_interfere() {
         .map(|key| {
             let store = store.clone();
             std::thread::spawn(move || {
-                let m = tagged_matrix(key as f64 * 10_000.0);
+                let m = tagged_shard(key as f64 * 10_000.0);
                 for _ in 0..50 {
-                    store.store_matrix(key, &m).unwrap();
-                    let back = store.load_matrix(key).expect("own key must hit");
+                    store.store_shard(key, &m).unwrap();
+                    let back = store.load_shard(key).expect("own key must hit");
                     assert_eq!(back, m);
                 }
             })
@@ -102,5 +102,5 @@ fn distinct_keys_do_not_interfere() {
     for h in handles {
         h.join().expect("writer thread");
     }
-    assert_eq!(store.stat().unwrap().matrix.entries, 8);
+    assert_eq!(store.stat().unwrap().shard.entries, 8);
 }

@@ -18,9 +18,9 @@
 //! * [`core`] — the paper's algorithms ([`kcenter_core`]);
 //! * [`baselines`] — Charikar et al. 2001/2004, McCutchen–Khuller 2008,
 //!   Malkomes et al. 2015 ([`kcenter_baselines`]);
-//! * [`store`] — the persistent on-disk artifact cache for distance
-//!   matrices, coresets, and solutions ([`kcenter_store`]; opt-in via
-//!   `KCENTER_CACHE_DIR` / [`kcenter_store::install_from_env`]).
+//! * [`store`] — the persistent on-disk artifact store for executor
+//!   shards, serve sessions, and CLI solutions ([`kcenter_store`]; opt-in
+//!   via the CLI's `--cache-dir` or `KCENTER_CACHE_DIR`).
 //!
 //! ## Quick start
 //!

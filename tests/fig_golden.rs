@@ -10,20 +10,12 @@
 //! rayon shim's steal-feedback adaptive splitter: steals (and therefore
 //! chunk layouts) differ between the runs, the reported numbers may not.
 //! The CI workflow runs this suite at both thread counts on every push.
-//!
-//! The `*_cache_*` tests extend the contract to the **persistent artifact
-//! store**: with `KCENTER_CACHE_DIR` set, a binary is run cold (empty
-//! cache) and then warm, and the warm pass must perform zero matrix
-//! builds while producing bit-identical output — the proof that
-//! persistence changes *cost*, never *results*. CI runs these in their
-//! own `cache-determinism` job, again at both thread counts.
 
-use std::path::PathBuf;
 use std::process::Command;
 
 /// Runs a kcenter-bench binary with the given args, thread count, and
-/// extra environment, returning (stdout, stderr).
-fn run_fig_env(bin: &str, args: &[&str], threads: &str, env: &[(&str, &str)]) -> (String, String) {
+/// extra environment, returning stdout.
+fn run_fig_env(bin: &str, args: &[&str], threads: &str, env: &[(&str, &str)]) -> String {
     let manifest_dir = env!("CARGO_MANIFEST_DIR");
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     let mut command = Command::new(&cargo);
@@ -40,12 +32,6 @@ fn run_fig_env(bin: &str, args: &[&str], threads: &str, env: &[(&str, &str)]) ->
         ])
         .args(args)
         .env("RAYON_NUM_THREADS", threads)
-        // Isolate from the caller's environment: an ambient cache dir
-        // would silently activate the persistent store in the *golden*
-        // runs (changing the pinned build accounting) and write test
-        // artifacts into the user's real cache. Cache tests opt back in
-        // via an explicit `env` pair below.
-        .env_remove("KCENTER_CACHE_DIR")
         // An ambient trace file must not be clobbered by golden runs (the
         // trace-invariance test opts back in explicitly).
         .env_remove(kcenter_obs::TRACE_ENV)
@@ -63,39 +49,13 @@ fn run_fig_env(bin: &str, args: &[&str], threads: &str, env: &[(&str, &str)]) ->
         String::from_utf8_lossy(&output.stdout),
         String::from_utf8_lossy(&output.stderr),
     );
-    (
-        String::from_utf8_lossy(&output.stdout).into_owned(),
-        String::from_utf8_lossy(&output.stderr).into_owned(),
-    )
+    String::from_utf8_lossy(&output.stdout).into_owned()
 }
 
 /// Runs a kcenter-bench binary with the given args and thread count,
 /// returning stdout.
 fn run_fig(bin: &str, args: &[&str], threads: &str) -> String {
-    run_fig_env(bin, args, threads, &[]).0
-}
-
-/// Parses the `cache-accounting: builds=B hits=H misses=M` line the
-/// binaries print to stderr.
-fn cache_accounting(stderr: &str) -> (usize, usize, usize) {
-    let line = stderr
-        .lines()
-        .find(|l| l.starts_with("cache-accounting:"))
-        .unwrap_or_else(|| panic!("no cache-accounting line in stderr:\n{stderr}"));
-    // The shared kcenter-obs parser doubles as a format pin: if the
-    // emitter's shape drifts, this stops parsing and the suite fails.
-    kcenter_obs::parse_cache_accounting(line)
-        .unwrap_or_else(|| panic!("unparsable cache-accounting line {line:?}"))
-}
-
-/// A fresh, empty cache directory for one cold/warm scenario.
-fn fresh_cache_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("kcenter-cache-determinism")
-        .join(format!("{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create cache dir");
-    dir
+    run_fig_env(bin, args, threads, &[])
 }
 
 /// Collapses runs of whitespace so pins do not depend on column padding.
@@ -225,8 +185,8 @@ fn ablation_stdout_is_byte_identical_with_tracing_enabled() {
         std::env::temp_dir().join(format!("kcenter-fig-trace-{}.jsonl", std::process::id()));
     let trace_str = trace.to_str().expect("utf8 trace path");
 
-    let (plain_out, _) = run_fig_env("ablation_radius_search", args, "1", &[]);
-    let (traced_out, _) = run_fig_env(
+    let plain_out = run_fig_env("ablation_radius_search", args, "1", &[]);
+    let traced_out = run_fig_env(
         "ablation_radius_search",
         args,
         "1",
@@ -250,92 +210,4 @@ fn ablation_stdout_is_byte_identical_with_tracing_enabled() {
         kcenter_obs::json::parse(line).unwrap_or_else(|e| panic!("bad trace line {line:?}: {e}"));
     }
     let _ = std::fs::remove_file(&trace);
-}
-
-/// The acceptance gate for the persistent artifact store: running the
-/// radius-search ablation *cold* (empty `KCENTER_CACHE_DIR`) prices and
-/// persists every coreset matrix; rerunning it *warm* performs **zero**
-/// matrix builds (`matrix_build_count() == 0`, `store_hit_count() >= 1` —
-/// read off the stderr accounting) and its stdout is **bit-identical** to
-/// the cold run's, at 1 thread and at 4. `--deterministic` blanks the
-/// wall-clock columns so "bit-identical" really means every byte.
-#[test]
-fn ablation_cache_cold_then_warm_is_deterministic_with_zero_builds() {
-    let dir = fresh_cache_dir("ablation");
-    let cache = &[("KCENTER_CACHE_DIR", dir.to_str().expect("utf8 dir"))];
-    let args: &[&str] = &["--n", "1500", "--deterministic"];
-
-    let (cold_out, cold_err) = run_fig_env("ablation_radius_search", args, "1", cache);
-    let (builds, hits, misses) = cache_accounting(&cold_err);
-    assert!(builds > 0, "cold run must build matrices (got {builds})");
-    assert_eq!(hits, 0, "cold run on an empty cache cannot hit");
-    assert_eq!(misses, builds, "every cold build is a store miss");
-
-    for threads in ["1", "4"] {
-        let (warm_out, warm_err) = run_fig_env("ablation_radius_search", args, threads, cache);
-        let (builds, hits, misses) = cache_accounting(&warm_err);
-        assert_eq!(
-            builds, 0,
-            "warm run at {threads} threads must perform zero matrix builds"
-        );
-        assert!(hits >= 1, "warm run must hit the store");
-        assert_eq!(misses, 0, "warm run must not miss");
-        assert_eq!(
-            cold_out, warm_out,
-            "warm stdout at {threads} threads must be bit-identical to the cold run"
-        );
-    }
-}
-
-/// The same cold/warm contract for a full figure sweep (fig4 drives the
-/// MapReduce round-2 path): every scientific line of stdout is identical
-/// cold vs warm and across thread counts; only the final
-/// "distance matrices built" accounting line may differ (24 cold → 0
-/// warm, by design — that drop *is* the feature).
-#[test]
-fn fig4_cache_warm_run_is_identical_except_build_accounting() {
-    let dir = fresh_cache_dir("fig4");
-    let cache = &[("KCENTER_CACHE_DIR", dir.to_str().expect("utf8 dir"))];
-
-    // The deterministic stdout subset (ratio rows, best radii), minus the
-    // build-accounting line that legitimately reflects cache state.
-    // Wall-clock rows are excluded by fig4_deterministic already; the
-    // fully byte-identical variant of this contract is covered by the
-    // ablation test above via --deterministic.
-    let science = |out: &str| -> Vec<String> {
-        fig4_deterministic(out)
-            .into_iter()
-            .filter(|l| !l.starts_with("distance matrices built:"))
-            .collect()
-    };
-
-    let (cold_out, cold_err) = run_fig_env("fig4_mr_outliers", FIG_ARGS, "1", cache);
-    let (cold_builds, cold_hits, cold_misses) = cache_accounting(&cold_err);
-    assert!(cold_builds > 0);
-    assert_eq!(cold_misses, cold_builds);
-    // Even the cold run deduplicates: several sweep configurations derive
-    // identical coreset unions, and every re-derivation after the first
-    // is already served from the store mid-run.
-    let cold_resolves = cold_builds + cold_hits;
-
-    let (warm_out, warm_err) = run_fig_env("fig4_mr_outliers", FIG_ARGS, "4", cache);
-    let (warm_builds, warm_hits, _) = cache_accounting(&warm_err);
-    assert_eq!(warm_builds, 0, "warm fig4 must rebuild nothing");
-    assert_eq!(
-        warm_hits, cold_resolves,
-        "warm fig4 must load every matrix the cold run resolved"
-    );
-    assert_eq!(
-        science(&cold_out),
-        science(&warm_out),
-        "fig4 science must be bit-identical cold vs warm (1 vs 4 threads)"
-    );
-    assert!(
-        cold_out.contains(&format!("distance matrices built: {cold_builds}")),
-        "cold stdout accounting must match stderr accounting"
-    );
-    assert!(
-        warm_out.contains("distance matrices built: 0"),
-        "warm stdout must report zero builds"
-    );
 }
