@@ -652,8 +652,8 @@ fn run_data_path_rows(warmup: usize, samples: usize, records: &mut Vec<Record>) 
     );
 }
 
-/// Serve rows: session-ingest throughput through the registry's bounded
-/// channel and per-query latency on a live session — the solver path
+/// Serve rows: session-ingest throughput through the registry and
+/// per-query latency on a live session — the solver path
 /// versus the per-session answer memo, paired (ABBA). The two query arms
 /// run on *separate* sessions because the memo holds a single entry: the
 /// solver arm alternating `k` on the memo arm's session would clobber
@@ -666,14 +666,13 @@ fn run_serve_rows(warmup: usize, samples: usize, records: &mut Vec<Record>) {
         tau: 64,
         memory_budget_points: None,
         snapshot_every: 0,
-        ingest_buffer: 256,
     };
     let points = Dataset::Power.generate(n, FIXTURE_DATASET_SEED);
     let run = (warmup, samples, 1);
 
     // Ingest throughput: a fresh session absorbs the workload in
-    // 256-point batches, each batch crossing the bounded channel exactly
-    // as a server-side ingest does.
+    // 256-point batches, each through the same `ingest` call a
+    // server-side request makes.
     record_one(
         records,
         run,

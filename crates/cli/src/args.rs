@@ -249,8 +249,7 @@ USAGE:
   kcenter serve    [--socket PATH] [--listen tcp://HOST:PORT] [--tau T]
                    [--memory-budget POINTS] [--snapshot-every N] [--cache-dir DIR]
                    [--trace FILE]
-  kcenter worker   --listen HOST:PORT | --connect HOST:PORT
-                   [--store DIR] [--pin-config HEX]
+  kcenter worker   --listen HOST:PORT [--store DIR] [--pin-config HEX]
 
 --procs N runs the MapReduce algorithms (mr | mr-outliers | mr-randomized)
 on N real worker OS processes over sharded on-disk inputs, with results
@@ -261,11 +260,10 @@ externally started `kcenter worker --listen` processes over TCP instead
 --cache-dir store). Results are bit-identical across both transports.
 
 `worker` runs one executor worker: `--listen` waits for a coordinator to
-dial in (and prints the bound address, so `--listen HOST:0` works);
-`--connect` dials a coordinator that is accepting workers. `--store DIR`
-is where `@store/…` shard references resolve; `--pin-config HEX` makes
-the worker reject coordinators whose config fingerprint differs (see
-docs/PROTOCOL.md for the handshake).
+dial in (and prints the bound address, so `--listen HOST:0` works).
+`--store DIR` is where `@store/…` shard references resolve; `--pin-config
+HEX` makes the worker reject coordinators whose config fingerprint
+differs (see docs/PROTOCOL.md for the handshake).
 
 `serve` runs a long-lived multi-tenant session server over the streaming
 coreset: clients ingest/query/evict per-(tenant, stream) sessions through

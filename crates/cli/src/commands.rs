@@ -492,7 +492,6 @@ pub fn run_serve(args: &ServeArgs) -> Result<(), Box<dyn Error>> {
         tau: args.tau,
         memory_budget_points: args.memory_budget,
         snapshot_every: args.snapshot_every,
-        ..kcenter_serve::RegistryConfig::default()
     };
     let registry = kcenter_serve::SessionRegistry::new(Euclidean, config, store)?;
     let mut endpoints = Vec::new();

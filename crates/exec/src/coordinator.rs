@@ -88,8 +88,7 @@ use crate::error::ExecError;
 use crate::protocol::{hello_request, parse_hello_ack, MetricKind, WorkerReport, WorkerTelemetry};
 use crate::shard::{read_coreset_artifact, read_shard_set, write_shard};
 use crate::transport::{
-    FrameTx, LinkControl, PipeTransport, TcpAcceptTransport, TcpDialTransport, Transport,
-    TransportSpec,
+    FrameTx, LinkControl, PipeTransport, TcpDialTransport, Transport, TransportSpec,
 };
 use crate::with_metric;
 use crate::worker::{MergeArgs, WorkerArgs};
@@ -357,8 +356,7 @@ impl WorkerFleet {
 
     /// A fleet sized, commanded, and transported per `exec` (the shape
     /// the one-shot entry points use). The TCP dial backend caps the
-    /// fleet at its address count; a bad `TcpAccept` bind address
-    /// surfaces as a spawn error on the first run, not here.
+    /// fleet at its address count.
     pub fn from_config(exec: &ExecConfig) -> WorkerFleet {
         // Frame-level deadlines for remote links: a read may legitimately
         // wait as long as the longest job, so the read deadline tracks
@@ -374,19 +372,9 @@ impl WorkerFleet {
                     .with_deadlines(read_deadline, write_deadline);
                 WorkerFleet::with_transport(Box::new(transport), Some(cap.max(1)))
             }
-            TransportSpec::TcpAccept { bind } => {
-                let transport = TcpAcceptTransport::lazy(bind.clone(), exec.timeout)
-                    .with_deadlines(read_deadline, write_deadline);
-                WorkerFleet::with_transport(Box::new(transport), exec.max_workers)
-            }
         };
         fleet.hello_config = exec.config_fingerprint;
         fleet
-    }
-
-    /// Workers currently alive.
-    pub fn live_workers(&self) -> usize {
-        self.workers.len()
     }
 
     /// Worker links established over this fleet's lifetime (process

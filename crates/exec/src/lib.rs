@@ -19,11 +19,11 @@
 //!   round-1 kernel with its own rayon pool, and atomically writes a
 //!   weighted coreset back through the store codec;
 //! * a **transport seam** ([`transport`]) behind which the fleet talks to
-//!   workers: the default child-process pipe backend, and TCP backends
-//!   ([`transport::TcpDialTransport`], [`transport::TcpAcceptTransport`])
-//!   for workers started independently with `--listen`/`--connect` that
-//!   pick their shards up from a shared [`kcenter_store::ArtifactStore`]
-//!   via `@store/NAME` references;
+//!   workers: the default child-process pipe backend, and a TCP backend
+//!   ([`transport::TcpDialTransport`]) that dials out to workers started
+//!   independently with `--listen`, which pick their shards up from a
+//!   shared [`kcenter_store::ArtifactStore`] via `@store/NAME`
+//!   references;
 //! * a **wire protocol** ([`protocol`]) whose every value round-trips
 //!   bit-exactly, with a versioned `hello` handshake that rejects
 //!   mismatched workers, and an on-disk **shard format** ([`shard`])
@@ -55,5 +55,5 @@ pub use coordinator::{
 };
 pub use error::ExecError;
 pub use protocol::MetricKind;
-pub use transport::{TcpAcceptTransport, TcpDialTransport, Transport, TransportSpec};
+pub use transport::{TcpDialTransport, Transport, TransportSpec};
 pub use worker::worker_main;

@@ -2,7 +2,7 @@
 //!
 //! Workers are plain OS processes that serve jobs until told to stop: a
 //! length-delimited request/response framing over stdin/stdout
-//! (`--serve`) or over a TCP connection (`--listen`/`--connect`). Each
+//! (`--serve`) or over a TCP connection (`--listen`). Each
 //! frame is a list of strings; a job's request frame is its verb followed
 //! by a flag list ([`crate::worker::WorkerArgs`],
 //! [`crate::worker::MergeArgs`]). All values round-trip exactly: integers

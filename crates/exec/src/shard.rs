@@ -98,6 +98,15 @@ pub fn read_shard_set(path: &Path) -> Result<PointSet, ShardError> {
 /// for finiteness, once. Any failure returns `None` and the caller
 /// re-answers through the canonical read + decode path (which also
 /// classifies the error).
+///
+/// Why it stays, although it and `kcenter_store::mmap` (with the
+/// `StableF64s` view they need) hold all the `unsafe` under `crates/`:
+/// measured at 3f771f2 on kbench fleet-tcp-sweep (seed 1, 4 ABBA pairs,
+/// 2-vCPU box), replacing it with `fs::read` plus one copy into an owned
+/// `PointSet` — every header, checksum, layout and finiteness check
+/// kept — raised `op_ms_p50` from a median of 208.2 to 238.0 ms (+14%,
+/// worse in 4 of 4 pairs). The trade is resident memory: `peak_rss_mb`
+/// read 58.6–60.2 MB mapped against 53.5–55.1 MB with the owned copy.
 #[cfg(all(target_os = "linux", target_endian = "little"))]
 fn read_shard_set_mapped(path: &Path) -> Option<PointSet> {
     use std::sync::Arc;

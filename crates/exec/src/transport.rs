@@ -24,22 +24,18 @@
 //!   Per-frame read/write deadlines are armed on the socket so a dead
 //!   peer can stall a frame only for a bounded time.
 //!
-//! [`TcpAcceptTransport`] is the inverse arrangement — the coordinator
-//! listens and workers dial in with `kcenter worker --connect ADDR` —
-//! for clusters where only the coordinator has a routable address.
-//!
 //! A remote link carries no artifact bytes: jobs reference shards and
 //! coresets by path, so cross-host runs point workers at shared storage
 //! (the coordinator's `@store/NAME` references resolve against the
 //! worker's `--store` root; see `docs/PROTOCOL.md` §Paths).
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::protocol::{read_frame, write_frame};
 
@@ -175,11 +171,6 @@ pub enum TransportSpec {
         /// Worker addresses (`host:port`), one fleet slot each.
         addrs: Vec<String>,
     },
-    /// Listen and let `worker --connect` processes dial in.
-    TcpAccept {
-        /// Address to bind (`host:port`; port 0 picks a free port).
-        bind: String,
-    },
 }
 
 // ---------------------------------------------------------------------------
@@ -305,24 +296,8 @@ impl Transport for PipeTransport {
 }
 
 // ---------------------------------------------------------------------------
-// TCP backends
+// TCP backend
 // ---------------------------------------------------------------------------
-
-/// Socket options shared by both TCP backends.
-fn configure_tcp(
-    stream: &TcpStream,
-    read_timeout: Option<Duration>,
-    write_timeout: Option<Duration>,
-) -> io::Result<()> {
-    // One small frame per request/reply round: Nagle only adds latency.
-    stream.set_nodelay(true)?;
-    // The per-frame deadlines. An expired read deadline surfaces on the
-    // reader thread as an error → an EOF event → reap + replay, exactly
-    // the containment path a died pipe worker takes.
-    stream.set_read_timeout(read_timeout)?;
-    stream.set_write_timeout(write_timeout)?;
-    Ok(())
-}
 
 struct TcpTx {
     writer: BufWriter<TcpStream>,
@@ -441,11 +416,6 @@ impl TcpDialTransport {
         self
     }
 
-    /// Number of worker addresses (the natural fleet cap).
-    pub fn addr_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Dials `addr` with bounded exponential backoff.
     fn dial(addr: &str, attempts: u32, initial: Duration) -> io::Result<TcpStream> {
         let mut delay = initial;
@@ -474,7 +444,13 @@ impl Transport for TcpDialTransport {
                 io::Error::other("every worker address already has a live connection")
             })?;
         let stream = Self::dial(&slot.addr, self.attempts, self.initial_backoff)?;
-        configure_tcp(&stream, self.read_timeout, self.write_timeout)?;
+        // One small frame per request/reply round: Nagle only adds latency.
+        stream.set_nodelay(true)?;
+        // The per-frame deadlines. An expired read deadline surfaces on the
+        // reader thread as an error → an EOF event → reap + replay, exactly
+        // the containment path a died pipe worker takes.
+        stream.set_read_timeout(self.read_timeout)?;
+        stream.set_write_timeout(self.write_timeout)?;
         if slot.connects > 0 {
             self.reconnects += 1;
         }
@@ -510,129 +486,11 @@ impl Transport for TcpDialTransport {
     }
 }
 
-/// Listen-side backend: the coordinator binds an address and workers
-/// started with `kcenter worker --connect ADDR` dial in. Each
-/// [`Transport::connect`] call accepts the next inbound worker, waiting
-/// up to the accept deadline.
-pub struct TcpAcceptTransport {
-    bind_addr: String,
-    listener: Option<TcpListener>,
-    accept_timeout: Duration,
-    read_timeout: Option<Duration>,
-    write_timeout: Option<Duration>,
-}
-
-impl TcpAcceptTransport {
-    /// Binds `addr` (`host:port`; port 0 picks a free port) eagerly so
-    /// [`TcpAcceptTransport::local_addr`] is known before any worker
-    /// dials in.
-    pub fn bind(addr: &str, accept_timeout: Duration) -> io::Result<TcpAcceptTransport> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(TcpAcceptTransport {
-            bind_addr: addr.to_string(),
-            listener: Some(listener),
-            accept_timeout,
-            read_timeout: None,
-            write_timeout: Some(Duration::from_secs(30)),
-        })
-    }
-
-    /// As [`TcpAcceptTransport::bind`], but deferring the bind to the
-    /// first [`Transport::connect`] — the infallible shape
-    /// `WorkerFleet::from_config` needs (a bad address then surfaces as
-    /// a spawn error on the run, not a panic at fleet construction).
-    pub fn lazy(addr: String, accept_timeout: Duration) -> TcpAcceptTransport {
-        TcpAcceptTransport {
-            bind_addr: addr,
-            listener: None,
-            accept_timeout,
-            read_timeout: None,
-            write_timeout: Some(Duration::from_secs(30)),
-        }
-    }
-
-    /// Sets the per-frame read/write deadlines armed on every connection.
-    pub fn with_deadlines(
-        mut self,
-        read: Option<Duration>,
-        write: Option<Duration>,
-    ) -> TcpAcceptTransport {
-        self.read_timeout = read;
-        self.write_timeout = write;
-        self
-    }
-
-    /// The bound address (known once bound; port 0 has been resolved).
-    pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.listener.as_ref().and_then(|l| l.local_addr().ok())
-    }
-
-    fn ensure_bound(&mut self) -> io::Result<&TcpListener> {
-        if self.listener.is_none() {
-            let listener = TcpListener::bind(&self.bind_addr)?;
-            listener.set_nonblocking(true)?;
-            self.listener = Some(listener);
-        }
-        Ok(self.listener.as_ref().expect("just bound"))
-    }
-}
-
-impl Transport for TcpAcceptTransport {
-    fn connect(&mut self) -> io::Result<WorkerLink> {
-        let accept_timeout = self.accept_timeout;
-        let (read_timeout, write_timeout) = (self.read_timeout, self.write_timeout);
-        let listener = self.ensure_bound()?;
-        let deadline = Instant::now() + accept_timeout;
-        let (stream, peer) = loop {
-            match listener.accept() {
-                Ok(accepted) => break accepted,
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!(
-                                "no worker dialled in within {:.1}s",
-                                accept_timeout.as_secs_f64()
-                            ),
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(err) => return Err(err),
-            }
-        };
-        // The listener is non-blocking for the poll loop above; the
-        // accepted connection must block (with the armed deadlines).
-        stream.set_nonblocking(false)?;
-        configure_tcp(&stream, read_timeout, write_timeout)?;
-        Ok(WorkerLink {
-            tx: Box::new(TcpTx {
-                writer: BufWriter::new(stream.try_clone()?),
-            }),
-            rx: Box::new(TcpRx {
-                reader: BufReader::new(stream.try_clone()?),
-            }),
-            control: Box::new(TcpControl {
-                stream,
-                peer: peer.to_string(),
-                slot: Arc::new(AtomicBool::new(true)),
-            }),
-        })
-    }
-
-    fn is_remote(&self) -> bool {
-        true
-    }
-
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
+    use std::time::Instant;
 
     #[test]
     fn dial_slots_free_on_control_drop_and_count_reconnects() {
@@ -674,40 +532,28 @@ mod tests {
     }
 
     #[test]
-    fn accept_times_out_when_no_worker_dials_in() {
-        let mut transport =
-            TcpAcceptTransport::bind("127.0.0.1:0", Duration::from_millis(50)).unwrap();
-        assert!(transport.local_addr().is_some());
-        let err = match transport.connect() {
-            Ok(_) => panic!("accept with no dialler must time out"),
-            Err(err) => err,
-        };
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-    }
-
-    #[test]
     fn tcp_frames_round_trip_between_dial_and_accept() {
-        let mut accept = TcpAcceptTransport::bind("127.0.0.1:0", Duration::from_secs(5)).unwrap();
-        let addr = accept.local_addr().unwrap().to_string();
-        let dialler = std::thread::spawn(move || {
-            let mut transport = TcpDialTransport::new(vec![addr]);
-            let mut link = transport.connect().unwrap();
-            link.tx.send(&["ping".to_string()]).unwrap();
-            let reply = link.rx.recv().unwrap().unwrap();
-            link.tx.close();
-            reply
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = BufWriter::new(stream);
+            let request = read_frame(&mut reader).unwrap().unwrap();
+            write_frame(&mut writer, &["ok".to_string(), "pong".to_string()]).unwrap();
+            writer.flush().unwrap();
+            // The dialler closed its write half: a clean EOF, not an error.
+            let after_close = read_frame(&mut reader).unwrap();
+            (request, after_close)
         });
-        let mut link = accept.connect().unwrap();
-        let request = link.rx.recv().unwrap().unwrap();
+        let mut transport = TcpDialTransport::new(vec![addr]);
+        let mut link = transport.connect().unwrap();
+        link.tx.send(&["ping".to_string()]).unwrap();
+        let reply = link.rx.recv().unwrap().unwrap();
+        assert_eq!(reply, vec!["ok".to_string(), "pong".to_string()]);
+        link.tx.close();
+        let (request, after_close) = peer.join().unwrap();
         assert_eq!(request, vec!["ping".to_string()]);
-        link.tx
-            .send(&["ok".to_string(), "pong".to_string()])
-            .unwrap();
-        assert_eq!(
-            dialler.join().unwrap(),
-            vec!["ok".to_string(), "pong".to_string()]
-        );
-        // The peer closed its write half: a clean EOF, not an error.
-        assert_eq!(link.rx.recv().unwrap(), None);
+        assert_eq!(after_close, None);
     }
 }

@@ -18,18 +18,15 @@
 //!
 //! # Remote modes
 //!
-//! Beyond the pipe-served `--serve` loop, [`worker_main`] understands
-//! two TCP modes for cross-host fleets (see `docs/PROTOCOL.md`):
+//! Beyond the pipe-served `--serve` loop, [`worker_main`] understands one
+//! TCP mode for cross-host fleets (see `docs/PROTOCOL.md`): `--listen
+//! ADDR` binds `ADDR` (`host:port`; port 0 picks a free port), prints
+//! `kcenter-exec-worker: listening on <addr>` to stdout, and serves
+//! framed connections one at a time, forever. A connection loss only
+//! ends that connection — the coordinator's reconnect-with-backoff finds
+//! the same worker again.
 //!
-//! * `--listen ADDR` — bind `ADDR` (`host:port`; port 0 picks a free
-//!   port), print `kcenter-exec-worker: listening on <addr>` to stdout,
-//!   and serve framed connections one at a time, forever. A connection
-//!   loss only ends that connection — the coordinator's
-//!   reconnect-with-backoff finds the same worker again.
-//! * `--connect ADDR` — dial a listening coordinator and serve that one
-//!   connection.
-//!
-//! Both accept `--store DIR` (the shared artifact store that
+//! It accepts `--store DIR` (the shared artifact store that
 //! `@store/NAME` job references resolve against) and `--pin-config HEX`
 //! (reject any coordinator whose `hello` announces a different — or no —
 //! configuration fingerprint).
@@ -40,7 +37,7 @@
 //! on purpose so the coordinator's failure handling can be pinned by
 //! tests: `crash` exits non-zero before doing any work, `truncate` writes
 //! half of the result artifact, `hang` sleeps far past any reasonable
-//! timeout (after accepting a connection, in the TCP modes — the
+//! timeout (after accepting a connection, in the TCP mode — the
 //! hung-remote case the per-run deadline must contain), `crash-job:N`
 //! lets a persistent worker serve `N-1` jobs normally and then die
 //! mid-stream on the `N`th without replying — the kill-mid-stream case
@@ -606,39 +603,9 @@ fn run_listen(addr: &str, opts: &ServeOptions) -> i32 {
     }
 }
 
-/// `--connect ADDR`: dial a listening coordinator (with a short retry
-/// window, since the worker may start first) and serve that connection.
-fn run_connect(addr: &str, opts: &ServeOptions) -> i32 {
-    let mut delay = Duration::from_millis(50);
-    let mut stream = None;
-    for attempt in 0..8 {
-        if attempt > 0 {
-            std::thread::sleep(delay);
-            delay = delay.saturating_mul(2);
-        }
-        match TcpStream::connect(addr) {
-            Ok(connected) => {
-                stream = Some(connected);
-                break;
-            }
-            Err(err) if attempt == 7 => {
-                eprintln!("kcenter-exec-worker: cannot connect to {addr}: {err}");
-                return 2;
-            }
-            Err(_) => {}
-        }
-    }
-    let Some(stream) = stream else { return 2 };
-    match serve_tcp_connection(stream, opts) {
-        ServeOutcome::CloseConnection | ServeOutcome::DropConnection => 0,
-        ServeOutcome::Exit(code) => code,
-    }
-}
-
-/// Parsed remote-mode invocation (`--listen`/`--connect`).
+/// Parsed remote-mode invocation (`--listen`).
 struct RemoteArgs {
-    listen: Option<String>,
-    connect: Option<String>,
+    listen: String,
     store: Option<PathBuf>,
     pin_config: Option<u128>,
 }
@@ -646,7 +613,6 @@ struct RemoteArgs {
 impl RemoteArgs {
     fn parse(args: Vec<String>) -> Result<RemoteArgs, String> {
         let mut listen = None;
-        let mut connect = None;
         let mut store = None;
         let mut pin_config = None;
         let mut iter = args.into_iter();
@@ -657,7 +623,6 @@ impl RemoteArgs {
             };
             match flag.as_str() {
                 "--listen" => listen = Some(value()?),
-                "--connect" => connect = Some(value()?),
                 "--store" => store = Some(PathBuf::from(value()?)),
                 "--pin-config" => {
                     let v = value()?;
@@ -669,22 +634,18 @@ impl RemoteArgs {
                 other => return Err(format!("unknown remote worker flag {other:?}")),
             }
         }
-        if listen.is_some() == connect.is_some() {
-            return Err("remote worker requires exactly one of --listen or --connect".into());
-        }
         Ok(RemoteArgs {
-            listen,
-            connect,
+            listen: listen.ok_or("remote worker requires --listen ADDR")?,
             store,
             pin_config,
         })
     }
 }
 
-/// Remote-mode entry: `--listen`/`--connect` plus `--store`/`--pin-config`.
+/// Remote-mode entry: `--listen` plus `--store`/`--pin-config`.
 fn remote_main(args: Vec<String>) -> i32 {
-    // `crash` fires before the bind: the coordinator's dial (or accept)
-    // fails outright, the attributed-spawn-error case.
+    // `crash` fires before the bind: the coordinator's dial fails
+    // outright, the attributed-spawn-error case.
     if std::env::var(FAULT_ENV).as_deref() == Ok("crash") {
         eprintln!("kcenter-exec-worker: injected crash ({FAULT_ENV}=crash)");
         return 101;
@@ -713,11 +674,7 @@ fn remote_main(args: Vec<String>) -> i32 {
         store,
         pinned_config: parsed.pin_config,
     };
-    match (parsed.listen, parsed.connect) {
-        (Some(addr), None) => run_listen(&addr, &opts),
-        (None, Some(addr)) => run_connect(&addr, &opts),
-        _ => unreachable!("RemoteArgs::parse enforces exactly one mode"),
-    }
+    run_listen(&parsed.listen, &opts)
 }
 
 /// Full worker entry point for binaries: picks the serving mode, applies
@@ -725,14 +682,14 @@ fn remote_main(args: Vec<String>) -> i32 {
 ///
 /// Every worker is persistent and needs a mode: `--serve` as the first
 /// argument serves framed requests on stdin and replies on stdout until
-/// EOF or `shutdown`; `--listen ADDR` and `--connect ADDR` serve over
-/// TCP (see the module docs). Anything else is a usage error (exit 2).
+/// EOF or `shutdown`; `--listen ADDR` serves over TCP (see the module
+/// docs). Anything else is a usage error (exit 2).
 pub fn worker_main<I: IntoIterator<Item = String>>(args: I) -> i32 {
     let argv: Vec<String> = args.into_iter().collect();
-    if argv.iter().any(|a| a == "--listen" || a == "--connect") {
-        // Remote modes stage the faults differently: `crash` fires
-        // before the bind (attributed spawn/dial failure), `hang` fires
-        // after the accept (the per-run deadline's case).
+    if argv.iter().any(|a| a == "--listen") {
+        // The remote mode stages the faults differently: `crash` fires
+        // before the bind (attributed dial failure), `hang` fires after
+        // the accept (the per-run deadline's case).
         return remote_main(argv);
     }
     match std::env::var(FAULT_ENV).as_deref() {
@@ -751,7 +708,7 @@ pub fn worker_main<I: IntoIterator<Item = String>>(args: I) -> i32 {
     }
     eprintln!(
         "kcenter-exec-worker: a worker needs a mode: --serve (framed jobs on \
-         stdin/stdout), --listen ADDR or --connect ADDR"
+         stdin/stdout) or --listen ADDR"
     );
     2
 }

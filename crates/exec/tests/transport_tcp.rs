@@ -1,6 +1,6 @@
 //! Process-level tests of the TCP transport: real `kcenter-exec-worker`
-//! processes started independently (`--listen` / `--connect`), a real
-//! coordinator dialing (or accepting) them over localhost.
+//! processes started independently with `--listen`, a real coordinator
+//! dialing them over localhost.
 //!
 //! Pinned contracts:
 //!
@@ -20,14 +20,12 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use kcenter_core::coreset::CoresetSpec;
-use kcenter_core::mapreduce_kcenter::{mr_kcenter, MrKCenterConfig};
+use kcenter_core::mapreduce_kcenter::MrKCenterConfig;
 use kcenter_exec::protocol::{read_frame, write_frame};
-use kcenter_exec::transport::TcpAcceptTransport;
 use kcenter_exec::{
-    exec_mr_kcenter, exec_mr_kcenter_on, ExecConfig, ExecError, MetricKind, TransportSpec,
-    WorkerCommand, WorkerFleet,
+    exec_mr_kcenter, ExecConfig, ExecError, MetricKind, TransportSpec, WorkerCommand,
 };
-use kcenter_metric::{Euclidean, Point};
+use kcenter_metric::Point;
 use kcenter_store::ArtifactStore;
 
 /// One independently started `kcenter-exec-worker --listen` process; the
@@ -348,61 +346,4 @@ fn hung_tcp_worker_is_killed_at_the_deadline() {
         elapsed < Duration::from_secs(30),
         "coordinator took {elapsed:?} to time out on a hung remote"
     );
-}
-
-#[test]
-fn accept_transport_serves_dialing_workers() {
-    let points = dataset(400);
-    let config = MrKCenterConfig {
-        k: 4,
-        ell: 2,
-        coreset: CoresetSpec::Multiplier { mu: 2 },
-        seed: 5,
-    };
-    let reference = mr_kcenter(&points, &Euclidean, &config).unwrap();
-
-    // Coordinator side binds first; workers dial in with `--connect`.
-    let transport = TcpAcceptTransport::bind("127.0.0.1:0", Duration::from_secs(60))
-        .unwrap()
-        .with_deadlines(
-            Some(Duration::from_secs(125)),
-            Some(Duration::from_secs(30)),
-        );
-    let addr = transport.local_addr().unwrap().to_string();
-    let mut fleet = WorkerFleet::with_transport(Box::new(transport), Some(2));
-    let children: Vec<Child> = (0..2)
-        .map(|_| {
-            Command::new(env!("CARGO_BIN_EXE_kcenter-exec-worker"))
-                .args(["--connect", &addr])
-                .env_remove(kcenter_exec::worker::FAULT_ENV)
-                .stdout(Stdio::null())
-                .stderr(Stdio::null())
-                .spawn()
-                .expect("spawn connect worker")
-        })
-        .collect();
-
-    let mut exec = pipe_config();
-    exec.work_dir = Some(
-        std::env::temp_dir()
-            .join("kcenter-transport-tcp")
-            .join(format!("accept-{}", std::process::id())),
-    );
-    let executed =
-        exec_mr_kcenter_on(&mut fleet, &points, MetricKind::Euclidean, &config, &exec).unwrap();
-    fleet.shutdown();
-    assert_points_bit_identical(
-        &executed.clustering.centers,
-        &reference.clustering.centers,
-        "accept-mode tcp",
-    );
-    assert_eq!(
-        executed.clustering.radius.to_bits(),
-        reference.clustering.radius.to_bits()
-    );
-    for mut child in children {
-        // A `--connect` worker exits 0 once its coordinator hangs up.
-        let status = child.wait().expect("reap connect worker");
-        assert!(status.success(), "connect worker exited {status:?}");
-    }
 }

@@ -5,9 +5,10 @@
 //! users; this crate is that always-on layer. A [`SessionRegistry`] keeps
 //! one resumable `WeightedDoublingCoreset` per `(tenant, stream)`:
 //!
-//! * **Ingest** — batches ride a bounded channel (the `kcenter-stream`
-//!   `ChannelSource` shape) into the session's coreset; per-batch metering
-//!   counts only time inside `process`, like `run_stream`.
+//! * **Ingest** — each batch's points enter the session's coreset one at
+//!   a time, in batch order, on the thread serving the request (the
+//!   paper's one-point update); per-batch metering counts only time
+//!   inside `process`, like `run_stream`.
 //! * **Query** — centers/radius/uncovered-weight on demand via the cached
 //!   finalization path (`solve_coreset` → `CachedOracle` →
 //!   `solve_coreset_cached`) over a snapshot of the live coreset, with a

@@ -13,7 +13,7 @@ use kcenter_core::streaming_coreset::CoresetSnapshot;
 use kcenter_core::{WeightedDoublingCoreset, WeightedPoint};
 use kcenter_metric::{Fingerprint, Metric, Point};
 use kcenter_store::{ArtifactStore, StoredSession};
-use kcenter_stream::{ChannelSource, StreamingAlgorithm};
+use kcenter_stream::StreamingAlgorithm;
 use parking_lot::Mutex;
 
 use crate::ServeError;
@@ -37,8 +37,6 @@ pub struct RegistryConfig {
     /// Persist a session's snapshot whenever it has processed this many
     /// items since its last persist (`0` = only on evict/flush).
     pub snapshot_every: u64,
-    /// Bounded-channel capacity of the per-batch ingestion feed.
-    pub ingest_buffer: usize,
 }
 
 impl Default for RegistryConfig {
@@ -47,7 +45,6 @@ impl Default for RegistryConfig {
             tau: 128,
             memory_budget_points: None,
             snapshot_every: 0,
-            ingest_buffer: 256,
         }
     }
 }
@@ -413,9 +410,10 @@ impl<M: Metric<Point> + Clone + Sync> SessionRegistry<M> {
     /// restoring the session as needed, then applies the periodic-snapshot
     /// policy and the memory budget.
     ///
-    /// The batch rides a bounded channel ([`ChannelSource`]) — the serve
-    /// layer's ingestion shape — and the reported `ingest_time` counts
-    /// only time inside `process`, mirroring `run_stream`'s metering.
+    /// The batch's points go through `process` one at a time, in batch
+    /// order, on the calling thread — the paper's one-point-at-a-time
+    /// update — and the reported `ingest_time` counts only time inside
+    /// `process`, mirroring `run_stream`'s metering.
     ///
     /// The whole batch is validated up front (uniform, session-consistent
     /// dimensionality), so a rejected batch leaves the session untouched.
@@ -448,18 +446,12 @@ impl<M: Metric<Point> + Clone + Sync> SessionRegistry<M> {
         }
 
         let accepted = points.len();
-        let buffer = self.config.ingest_buffer.max(1);
-        let feed = ChannelSource::spawn(buffer, move |tx| {
-            tx.feed(points);
-        });
         let mut ingest_time = Duration::ZERO;
-        for point in feed.iter() {
+        for point in points {
             let start = Instant::now();
             session.coreset.process(point);
             ingest_time += start.elapsed();
         }
-        let drained = feed.join();
-        debug_assert!(drained, "registry drains every accepted batch");
         session.last_answer = None;
 
         let processed = session.coreset.processed();

@@ -1,12 +1,16 @@
-//! Serve-layer integration tests: evict/restore transparency, persistence
-//! across registry instances, and the unix-socket protocol end to end.
+//! Serve-layer integration tests: agreement with a directly fed streaming
+//! coreset, evict/restore transparency, persistence across registry
+//! instances, and the unix-socket protocol end to end.
 
 use std::path::PathBuf;
 
+use kcenter_core::radius_search::{default_matrix_threshold, solve_coreset, SearchMode};
+use kcenter_core::{WeightedCoreset, WeightedDoublingCoreset, WeightedPoint};
 use kcenter_metric::{Euclidean, Point};
 use kcenter_serve::server::reply_field;
 use kcenter_serve::{run_server, RegistryConfig, ServeClient, ServeError, SessionRegistry};
 use kcenter_store::ArtifactStore;
+use kcenter_stream::StreamingAlgorithm;
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -32,7 +36,60 @@ fn config(tau: usize, budget: Option<usize>) -> RegistryConfig {
         tau,
         memory_budget_points: budget,
         snapshot_every: 0,
-        ingest_buffer: 32,
+    }
+}
+
+#[test]
+fn ingest_matches_a_directly_fed_coreset_across_batch_sizes() {
+    // The reference is the paper's streaming coreset itself, fed one
+    // point at a time outside any registry.
+    const TAU: usize = 24;
+    let sizes = [1usize, 31, 32, 33, 255, 256, 257, 1000];
+    let points = session_points(11, sizes.iter().sum());
+    let registry = SessionRegistry::new(Euclidean, config(TAU, None), None).unwrap();
+    let mut reference = WeightedDoublingCoreset::new(Euclidean, TAU);
+
+    let mut offset = 0;
+    for size in sizes {
+        let batch = &points[offset..offset + size];
+        offset += size;
+        let report = registry.ingest("acme", "feed", batch.to_vec()).unwrap();
+        for point in batch {
+            reference.process(point.clone());
+        }
+        assert_eq!(report.accepted, size);
+        assert_eq!(report.processed, reference.processed(), "batch of {size}");
+        assert_eq!(report.resident_points, reference.memory_items());
+        assert_eq!(report.phi.to_bits(), reference.phi().to_bits());
+    }
+    assert!(reference.phi() > 0.0, "the batches must drive merges");
+
+    let (k, z, eps) = (4usize, 8u64, 0.25f64);
+    let answer = registry.query("acme", "feed", k, z, eps).unwrap();
+    let coreset: WeightedCoreset<Point> = reference
+        .centers()
+        .iter()
+        .cloned()
+        .zip(reference.weights().iter().copied())
+        .map(|(point, weight)| WeightedPoint { point, weight })
+        .collect();
+    let expected = solve_coreset(
+        &coreset,
+        &Euclidean,
+        k,
+        z,
+        eps,
+        SearchMode::GeometricGrid,
+        default_matrix_threshold(),
+    );
+    assert_eq!(answer.processed, points.len() as u64);
+    assert_eq!(answer.radius.to_bits(), expected.r_min.to_bits());
+    assert_eq!(answer.uncovered_weight, expected.uncovered_weight);
+    assert_eq!(answer.centers.len(), expected.centers.len());
+    for (a, b) in answer.centers.iter().zip(&expected.centers) {
+        let a: Vec<u64> = a.coords().iter().map(|x| x.to_bits()).collect();
+        let b: Vec<u64> = b.coords().iter().map(|x| x.to_bits()).collect();
+        assert_eq!(a, b);
     }
 }
 

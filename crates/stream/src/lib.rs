@@ -10,14 +10,9 @@
 //!
 //! * [`StreamingAlgorithm`] — the one-pass algorithm interface: `process`
 //!   one item at a time, report `memory_items`, `finalize` into a result;
-//! * [`run_stream`] — drives an algorithm over an iterator while metering
-//!   throughput and peak working memory ([`StreamReport`]);
-//! * [`source`] — stream sources: in-memory slices and a bounded
-//!   crossbeam-channel source for producer/consumer pipelines (used by the
-//!   `streaming_pipeline` example to emulate a live feed).
+//! * [`run_stream`] — drives an algorithm over any iterator while metering
+//!   throughput and peak working memory ([`StreamReport`]).
 
 pub mod algorithm;
-pub mod source;
 
 pub use algorithm::{run_stream, MultiPass, StreamReport, StreamingAlgorithm};
-pub use source::{ChannelSource, Feeder};

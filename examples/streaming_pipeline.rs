@@ -1,10 +1,10 @@
-//! A live streaming pipeline: cluster a social-media-style event feed with
-//! outliers in one pass, while the producer is still emitting.
+//! A streaming pipeline: cluster a social-media-style event feed with
+//! outliers in one pass, one event at a time.
 //!
 //! The paper motivates 1-pass algorithms with real-time feeds (it cites
-//! Twitter's 143,199 tweets/s peak); here a producer thread emits embedded
-//! events through a bounded channel and `CoresetOutliers` consumes them as
-//! they arrive, never holding more than `τ + 1` points.
+//! Twitter's 143,199 tweets/s peak); here `run_stream` hands the shuffled
+//! events to `CoresetOutliers` one by one, in arrival order, and the
+//! algorithm never holds more than `τ + 1` points.
 //!
 //! Run with:
 //! ```text
@@ -13,7 +13,6 @@
 
 use kcenter::data::{inject_outliers, shuffled, wiki_like};
 use kcenter::prelude::*;
-use kcenter::stream::ChannelSource;
 
 fn main() {
     // Pre-generate the "feed": 30k embedded events in 50 dimensions with a
@@ -23,19 +22,12 @@ fn main() {
     inject_outliers(&mut events, z, 11);
     let events = shuffled(&events, 4);
     let total = events.len();
-    let replay = events.clone(); // kept only to evaluate the result
-
-    // Producer thread pushes events through a bounded channel (capacity 256
-    // ≈ a network buffer); the consumer clusters on the fly.
-    let feed = ChannelSource::spawn(256, move |tx| {
-        tx.feed(events); // stops early if the consumer hangs up
-    });
 
     let k = 20;
     let tau = 4 * (k + z);
     let alg = CoresetOutliers::new(Euclidean, k, z, tau, 0.25);
-    let (out, report) = run_stream(alg, feed.iter());
-    assert!(feed.join(), "the consumer drained the whole feed");
+    let (out, report) = run_stream(alg, events.iter().cloned());
+    assert_eq!(report.items, total, "the pass consumed the whole feed");
 
     println!("consumed {total} events in one pass");
     println!(
@@ -46,7 +38,7 @@ fn main() {
         "  working memory  : {} points (budget τ = {tau})",
         report.peak_memory_items
     );
-    let measured = radius_with_outliers(&replay, &out.centers, z, &Euclidean);
+    let measured = radius_with_outliers(&events, &out.centers, z, &Euclidean);
     println!(
         "  topics found    : {} centers, radius (excl. {z} spam events) = {:.3}",
         out.centers.len(),

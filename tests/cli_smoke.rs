@@ -183,10 +183,11 @@ fn k_zero_is_a_usage_error_for_every_algorithm() {
 }
 
 /// Every worker is persistent: `kcenter worker` with job flags but no
-/// mode is a usage error naming the three modes, not a one-job run.
+/// mode, or with `--connect`, is a usage error naming the two modes, not
+/// a one-job run or a dial-out.
 #[test]
 fn worker_without_a_mode_is_a_usage_error() {
-    let args = [
+    let one_shot_job: &[&str] = &[
         "worker",
         "--shard",
         "x.kca",
@@ -201,19 +202,23 @@ fn worker_without_a_mode_is_a_usage_error() {
         "--start",
         "0",
     ];
-    let output = kcenter_output(&args);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(
-        output.status.code(),
-        Some(2),
-        "kcenter {args:?} exited with {}\n{stderr}",
-        output.status
-    );
-    assert!(
-        !stderr.contains("panicked"),
-        "kcenter {args:?} panicked:\n{stderr}"
-    );
-    for mode in ["--serve", "--listen", "--connect"] {
-        assert!(stderr.contains(mode), "usage names no {mode}:\n{stderr}");
+    // Workers never dial a coordinator: `--connect` names no mode.
+    let dial_in: &[&str] = &["worker", "--connect", "127.0.0.1:9"];
+    for args in [one_shot_job, dial_in] {
+        let output = kcenter_output(args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "kcenter {args:?} exited with {}\n{stderr}",
+            output.status
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "kcenter {args:?} panicked:\n{stderr}"
+        );
+        for mode in ["--serve", "--listen"] {
+            assert!(stderr.contains(mode), "usage names no {mode}:\n{stderr}");
+        }
     }
 }

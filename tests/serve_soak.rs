@@ -219,7 +219,6 @@ fn concurrent_sessions_survive_eviction_churn_bitwise() {
             tau: TAU,
             memory_budget_points: None,
             snapshot_every: 0,
-            ingest_buffer: 32,
         },
         None,
     )
