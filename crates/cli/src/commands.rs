@@ -301,10 +301,9 @@ fn run_cluster_multiprocess(
         );
     }
     eprintln!(
-        "executor: union = {} from {} partitions via {} merge jobs, round1 {:.1}ms, round2 {:.1}ms",
+        "executor: union = {} from {} partitions, round1 {:.1}ms, round2 {:.1}ms",
         report.union_size,
         report.workers.len(),
-        report.merge_jobs,
         report.round1_time.as_secs_f64() * 1e3,
         report.round2_time.as_secs_f64() * 1e3,
     );

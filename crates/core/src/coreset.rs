@@ -73,13 +73,12 @@ impl<P> WeightedCoreset<P> {
 
     /// Composes a sequence of coresets into one, in iteration order.
     ///
-    /// Composition is plain order-preserving concatenation, so it is
-    /// associative: any parenthesization — the coordinator's flat
-    /// left-to-right fold or the executor's pairwise reduction tree —
-    /// yields the identical point sequence as long as leaves stay in
-    /// partition-index order. The round-2 solvers consume the union by
-    /// position, so this is exactly the property that makes a tree-shaped
-    /// round 2 bit-identical to the flat one.
+    /// Composition is plain order-preserving concatenation. Both MapReduce
+    /// backends call it on the partition coresets in partition-index
+    /// order — the in-process engine on the ones it built, the executor's
+    /// coordinator on the artifacts it read back from the workers — and
+    /// the round-2 solvers consume the union by position, so the two
+    /// backends hand round 2 the identical union.
     pub fn compose<I: IntoIterator<Item = WeightedCoreset<P>>>(parts: I) -> WeightedCoreset<P> {
         let mut union = WeightedCoreset { points: Vec::new() };
         for part in parts {
@@ -373,8 +372,8 @@ mod tests {
         // Flat left-to-right fold.
         let flat = WeightedCoreset::compose(parts.clone());
 
-        // Pairwise reduction tree with the odd node carried forward —
-        // exactly the executor's round-2 topology.
+        // Pairwise composition with the odd node carried forward: any
+        // parenthesization gives the flat fold's sequence.
         let mut level = parts.clone();
         while level.len() > 1 {
             let mut next = Vec::new();

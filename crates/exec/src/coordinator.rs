@@ -1,5 +1,5 @@
 //! The coordinator: shards a dataset, schedules jobs onto a persistent
-//! worker fleet, and reduces their results — bit-identical to the
+//! worker fleet, and collects their results — bit-identical to the
 //! in-process engine.
 //!
 //! The algorithms themselves live in `kcenter-core`
@@ -11,9 +11,10 @@
 //! 1. **Shard.** The input is partitioned with the partitioner of the
 //!    algorithm's round-1 plan (chunked, seeded random, or adversarial)
 //!    and each non-empty partition becomes a shard file — freshly
-//!    written into the work directory, or **reused from the artifact
-//!    store** when a content-addressed entry for the identical partition
-//!    already exists (a seeded re-run performs zero shard writes).
+//!    written into the run's own directory, or **reused from the
+//!    artifact store** when a content-addressed entry for the identical
+//!    partition already exists (a seeded re-run performs zero shard
+//!    writes).
 //! 2. **Round 1, out of process.** Partitions are queued onto a
 //!    [`WorkerFleet`] of long-lived workers speaking the framed
 //!    request/response protocol (`docs/PROTOCOL.md`) over a pluggable
@@ -26,24 +27,21 @@
 //!    reconnected with bounded backoff (TCP) and the job replayed.
 //!    Every connection opens with a protocol `hello` carrying version +
 //!    configuration fingerprints, so a mismatched worker is rejected
-//!    with an attributed error instead of an undefined merge.
-//! 3. **The union, as a reduction tree.** Coreset artifacts compose
-//!    **pairwise on workers** up a tree — adjacent nodes merge, the odd
-//!    node carries forward — until one root artifact remains; only that
-//!    root is read by the coordinator, so coordinator-resident state is
-//!    independent of the partition count. Composition is order-preserving
-//!    concatenation in partition-index order, which is associative, so
-//!    the tree's union is **bit-identical** to the flat all-at-once
-//!    collection.
-//! 4. **Round 2, in the coordinator.** The algorithm's solve runs on the
-//!    root union, then its objective over the full input (an
-//!    `exec.objective` span inside `exec.round2`).
+//!    with an attributed error instead of an undefined result.
+//! 3. **Collect, then round 2, in the coordinator.** Once every
+//!    `coreset` job has replied, the coordinator reads each partition's
+//!    coreset artifact itself, in partition order (the end of round 1),
+//!    and composes them with [`WeightedCoreset::compose`] — the call the
+//!    in-process engine makes — so a run of ℓ partitions sends exactly ℓ
+//!    jobs. The algorithm's solve runs on that union, then its objective
+//!    over the full input (an `exec.objective` span inside
+//!    `exec.round2`).
 //!
 //! **Determinism.** Every stage is bitwise deterministic: partitioning is
 //! seeded, the round-1 kernel is chunk-order invariant under any thread
-//! count, the codec round-trips `f64`s by bit pattern, and both the
-//! collection order and the reduction-tree shape are fixed by partition
-//! index. The cross-check tests (and the `exec-determinism` CI job)
+//! count, the codec round-trips `f64`s by bit pattern, and the union is
+//! composed in partition-index order. The cross-check tests (and the
+//! `exec-determinism` CI job)
 //! assert the final centers and radius are **bit-identical** to
 //! [`mr_kcenter`] / [`mr_kcenter_outliers`] on the same input — fresh
 //! fleet or reused, cold shards or cached.
@@ -54,12 +52,13 @@
 //! [`mr_kcenter_outliers_on`]: kcenter_core::mapreduce_outliers::mr_kcenter_outliers_on
 //!
 //! **Failure handling.** A worker that exits non-zero, dies on a signal,
-//! overruns the timeout, or produces/consumes a truncated artifact
-//! surfaces as a clean [`ExecError`] with the offending partition
-//! attributed; mid-job death is first contained by respawn + replay and
-//! only becomes an error once the retry budget is exhausted. On any
-//! error the fleet is torn down and the work directory removed (unless
-//! kept for debugging).
+//! overruns the timeout, or leaves a truncated artifact surfaces as a
+//! clean [`ExecError`] with the offending partition attributed; mid-job
+//! death is first contained by respawn + replay and only becomes an
+//! error once the retry budget is exhausted. On any error the fleet is
+//! torn down. Each run writes into a directory of its own, claimed fresh
+//! inside [`ExecConfig::work_dir`], and removes only that directory, on
+//! success and on error alike.
 //!
 //! **Environment hygiene.** Spawned workers inherit the coordinator's
 //! environment *minus* `KCENTER_EXEC_FAULT` and `KCENTER_TRACE`: fault
@@ -91,11 +90,11 @@ use crate::transport::{
     FrameTx, LinkControl, PipeTransport, TcpDialTransport, Transport, TransportSpec,
 };
 use crate::with_metric;
-use crate::worker::{MergeArgs, WorkerArgs};
+use crate::worker::WorkerArgs;
 
 pub use crate::transport::WorkerCommand;
 
-/// Per-process sequence for unique work-directory names.
+/// Per-process sequence for run-directory names.
 static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Fingerprint domain for content-addressed shard entries. The key folds
@@ -104,33 +103,35 @@ static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 /// entry is self-describing — a cache hit *is* the shard.
 const SHARD_FINGERPRINT_DOMAIN: &str = "kcenter-exec/shard/v1";
 
+/// How many times a job is replayed after its worker dies mid-job before
+/// the run fails. A worker that *reports* an error (as opposed to dying)
+/// fails the run immediately — errors are deterministic, deaths may not
+/// be.
+const JOB_RETRIES: usize = 2;
+
 /// Multi-process execution options.
 #[derive(Clone, Debug)]
 pub struct ExecConfig {
     /// How to spawn workers.
     pub worker: WorkerCommand,
-    /// Work directory for shards and result artifacts. `None` creates a
-    /// unique directory under the system temp dir.
+    /// Parent of the per-run directories. Each run claims a fresh
+    /// `kcenter-exec-<pid>-<seq>` directory inside it (creating the
+    /// parent if needed), keeps its shards and coreset artifacts there,
+    /// and removes only that directory, so runs sharing a parent never
+    /// see each other's files. `None` uses the system temp dir.
     pub work_dir: Option<PathBuf>,
     /// Per-run wall-clock limit: if any job is still outstanding when it
     /// elapses, the fleet is killed and the run fails cleanly.
     pub timeout: Duration,
-    /// Keep the work directory (for debugging) instead of removing it.
-    pub keep_work_dir: bool,
     /// Fleet size cap. `None` sizes the fleet to the machine
     /// (`available_parallelism`), so `--procs ≫ cores` queues partitions
     /// onto a fixed fleet instead of oversubscribing the box.
     pub max_workers: Option<usize>,
     /// Content-addressed shard reuse: when set, partition shards are
     /// stored in (and served from) this artifact store instead of being
-    /// rewritten into the work directory on every run. A seeded re-run
+    /// rewritten into the run directory on every run. A seeded re-run
     /// performs **zero** shard writes ([`ExecReport::shard_writes`]).
     pub shard_store: Option<ArtifactStore>,
-    /// How many times a job is replayed after its worker dies mid-job
-    /// before the run fails. A worker that *reports* an error (as opposed
-    /// to dying) fails the run immediately — errors are deterministic,
-    /// deaths may not be.
-    pub job_retries: usize,
     /// Which transport carries the frames: child-process pipes (the
     /// default, using [`ExecConfig::worker`]) or TCP to independently
     /// started workers. Results are bit-identical across backends.
@@ -144,17 +145,16 @@ pub struct ExecConfig {
 }
 
 impl ExecConfig {
-    /// Options with the default timeout (10 minutes), a fresh temp work
-    /// directory, a machine-sized fleet, no shard store, and 2 replays.
+    /// Options with the default timeout (10 minutes), run directories
+    /// under the system temp dir, a machine-sized fleet, and no shard
+    /// store.
     pub fn new(worker: WorkerCommand) -> ExecConfig {
         ExecConfig {
             worker,
             work_dir: None,
             timeout: Duration::from_secs(600),
-            keep_work_dir: false,
             max_workers: None,
             shard_store: None,
-            job_retries: 2,
             transport: TransportSpec::Pipe,
             config_fingerprint: None,
         }
@@ -183,11 +183,11 @@ pub struct WorkerStat {
 pub struct ExecReport {
     /// Size of each non-empty partition's coreset, in partition order.
     pub coreset_sizes: Vec<usize>,
-    /// `|T|`, the size of the reduction tree's root union.
+    /// `|T|`, the size of the union of the partition coresets.
     pub union_size: usize,
     /// Per-partition accounting, in partition order.
     pub workers: Vec<WorkerStat>,
-    /// Wall clock of round 1 (shard + schedule + reduce to the root).
+    /// Wall clock of round 1 (shard + schedule + collect the coresets).
     pub round1_time: Duration,
     /// Wall clock of round 2 (solve on the union).
     pub round2_time: Duration,
@@ -204,7 +204,9 @@ pub struct ExecReport {
     /// (always 0 on the pipe transport, which respawns processes
     /// instead).
     pub reconnects: usize,
-    /// Pairwise merge jobs executed up the reduction tree.
+    /// Always 0: round 1 runs no merge jobs, because the coordinator
+    /// collects the coresets itself. The field stays only while kbench
+    /// still reads it; it goes with that reader.
     pub merge_jobs: usize,
 }
 
@@ -236,17 +238,38 @@ pub struct ExecOutliersResult {
     pub report: ExecReport,
 }
 
-/// Removes the work directory on drop unless told to keep it.
-struct WorkDirGuard {
+/// One run's own scratch directory, removed with everything in it on
+/// drop.
+struct RunDir {
     path: PathBuf,
-    keep: bool,
 }
 
-impl Drop for WorkDirGuard {
-    fn drop(&mut self) {
-        if !self.keep {
-            let _ = std::fs::remove_dir_all(&self.path);
+impl RunDir {
+    /// Claims a fresh `kcenter-exec-<pid>-<seq>` directory inside
+    /// `parent`. `create_dir` is the claim: a name that already exists
+    /// (another process with the same pid on shared storage, or a crashed
+    /// run's leftovers) is skipped, never adopted, so no two runs share a
+    /// directory and a run can only remove what it created.
+    fn claim(parent: &Path) -> std::io::Result<RunDir> {
+        std::fs::create_dir_all(parent)?;
+        loop {
+            let path = parent.join(format!(
+                "kcenter-exec-{}-{}",
+                std::process::id(),
+                RUN_SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            match std::fs::create_dir(&path) {
+                Ok(()) => return Ok(RunDir { path }),
+                Err(err) if err.kind() == std::io::ErrorKind::AlreadyExists => continue,
+                Err(err) => return Err(err),
+            }
         }
+    }
+}
+
+impl Drop for RunDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.path);
     }
 }
 
@@ -280,16 +303,10 @@ struct FleetWorker {
 /// One request destined for the fleet, with the metadata needed to
 /// attribute its failures.
 struct FleetJob {
-    /// Partition charged with this job's failures (for merges: the first
-    /// partition under the tree node).
+    /// Partition charged with this job's failures.
     partition: usize,
     /// The request frame.
     request: Vec<String>,
-    /// Input artifacts by producing partition: a worker's
-    /// `err-artifact` reply is matched against these paths so a torn
-    /// round-1 artifact discovered by a *merge* worker is attributed to
-    /// the partition that wrote it.
-    inputs: Vec<(String, usize)>,
     /// Trace span context carried by the request (`--span`): the parent
     /// under which the coordinator records this job's merged worker span.
     span: Option<u64>,
@@ -303,7 +320,7 @@ struct FleetJob {
 /// down on [`WorkerFleet::shutdown`] or drop. A worker that dies mid-job
 /// is reaped and its job replayed on a fresh link — a respawned child
 /// process on the pipe backend, a reconnect-with-backoff on TCP — up to
-/// the configured retry budget.
+/// a fixed retry budget.
 ///
 /// Every new link opens with the protocol `hello`; the first frame back
 /// must be a valid ack or the run fails with an attributed
@@ -517,9 +534,8 @@ impl WorkerFleet {
         jobs: &[FleetJob],
         deadline: Instant,
         timeout: Duration,
-        retries: usize,
     ) -> Result<Vec<(WorkerReport, Duration)>, ExecError> {
-        let result = self.run_jobs_inner(jobs, deadline, timeout, retries);
+        let result = self.run_jobs_inner(jobs, deadline, timeout);
         if result.is_err() {
             self.kill_all();
         }
@@ -531,7 +547,6 @@ impl WorkerFleet {
         jobs: &[FleetJob],
         deadline: Instant,
         timeout: Duration,
-        retries: usize,
     ) -> Result<Vec<(WorkerReport, Duration)>, ExecError> {
         let mut pending: VecDeque<usize> = (0..jobs.len()).collect();
         let mut attempts = vec![0usize; jobs.len()];
@@ -619,20 +634,6 @@ impl WorkerFleet {
                                 })
                             }
                         },
-                        Some("err-artifact") => {
-                            let path = parts.get(1).cloned().unwrap_or_default();
-                            let reason = parts.get(2).cloned().unwrap_or_default();
-                            let partition = job
-                                .inputs
-                                .iter()
-                                .find(|(p, _)| *p == path)
-                                .map_or(job.partition, |&(_, part)| part);
-                            return Err(ExecError::BadArtifact {
-                                partition,
-                                path: PathBuf::from(path),
-                                reason,
-                            });
-                        }
                         _ => {
                             // `err` replies are deterministic worker-side
                             // failures (bad input, unwritable output) from
@@ -656,7 +657,7 @@ impl WorkerFleet {
                     let job_idx = self.workers[at].busy_with;
                     let (code, stderr) = self.reap_worker(at);
                     if let Some(job_idx) = job_idx {
-                        if attempts[job_idx] > retries {
+                        if attempts[job_idx] > JOB_RETRIES {
                             return Err(ExecError::WorkerFailed {
                                 partition: jobs[job_idx].partition,
                                 code,
@@ -899,7 +900,7 @@ fn shard_fingerprint<P: Borrow<Point>>(members: &[P]) -> u128 {
 
 /// Materializes one partition's shard file: served from the store when a
 /// valid content-addressed entry exists, (re-)stored when absent or
-/// corrupt, or written into the work directory when no store is
+/// corrupt, or written into the run directory when no store is
 /// configured. Returns (path, reused).
 ///
 /// Why reuse at all: not speed. A reused shard still costs a fingerprint
@@ -912,7 +913,7 @@ fn shard_fingerprint<P: Borrow<Point>>(members: &[P]) -> u128 {
 /// store's `@store/NAME` entries instead of per-run scratch files.
 fn materialize_shard(
     store: Option<&ArtifactStore>,
-    work_dir: &Path,
+    run_dir: &Path,
     part: usize,
     members: &[&Point],
 ) -> std::io::Result<(PathBuf, bool)> {
@@ -933,17 +934,18 @@ fn materialize_shard(
         if store.store_shard(fp, members).is_ok() && path.is_file() {
             return Ok((path, false));
         }
-        // Unusable store directory: fall through to the work dir.
+        // Unusable store directory: fall through to the run directory.
     }
-    let path = work_dir.join(format!("shard-{part:05}.kca"));
+    let path = run_dir.join(format!("shard-{part:05}.kca"));
     write_shard(&path, members)?;
     Ok((path, false))
 }
 
-/// The distributed phase: shard (with content-addressed reuse), run
-/// round 1 on the fleet, and reduce the per-partition coresets pairwise
-/// up the tree until one root artifact remains, which is the only
-/// artifact the coordinator reads. Fills the round-1 half of `report`.
+/// The distributed phase: shard (with content-addressed reuse), run one
+/// `coreset` job per partition on the fleet, then read every partition's
+/// coreset artifact here, in partition order, and compose them into the
+/// union — the composition the in-process engine makes. Fills the
+/// round-1 half of `report`.
 fn run_distributed_round(
     fleet: &mut WorkerFleet,
     partitions: &[(usize, Vec<&Point>)],
@@ -956,30 +958,18 @@ fn run_distributed_round(
     let spawned_before = fleet.spawned_total;
     let respawned_before = fleet.respawned_total;
     let reconnects_before = fleet.reconnects_total();
-    let work_dir = match &exec.work_dir {
-        Some(dir) => dir.clone(),
-        None => std::env::temp_dir().join(format!(
-            "kcenter-exec-{}-{}",
-            std::process::id(),
-            RUN_SEQ.fetch_add(1, Ordering::Relaxed)
-        )),
-    };
-    std::fs::create_dir_all(&work_dir)?;
-    let guard = WorkDirGuard {
-        path: work_dir.clone(),
-        keep: exec.keep_work_dir,
-    };
+    let run_dir = RunDir::claim(&exec.work_dir.clone().unwrap_or_else(std::env::temp_dir))?;
     let deadline = Instant::now() + exec.timeout;
 
     // Shard: one input file per non-empty partition, store-served where
     // the content-addressed entry already exists.
-    let mut round1_jobs = Vec::with_capacity(partitions.len());
+    let mut jobs = Vec::with_capacity(partitions.len());
     let mut outs = Vec::with_capacity(partitions.len());
     // Remote workers cannot dereference this host's absolute paths, but
     // a shard that lives in the (shared) artifact store has a stable,
     // content-addressed file name — so remote jobs reference it as
     // `@store/NAME` and the worker resolves that against its own
-    // `--store` root. Work-dir paths (coreset/merge artifacts) stay
+    // `--store` root. Run-directory paths (coreset artifacts) stay
     // absolute: cross-host runs put the work dir on shared storage too.
     let remote = fleet.is_remote();
     let store_relative = |shard: &Path| -> PathBuf {
@@ -996,14 +986,14 @@ fn run_distributed_round(
     };
     for (part, members) in partitions {
         let (shard, reused) =
-            materialize_shard(exec.shard_store.as_ref(), &work_dir, *part, members)?;
+            materialize_shard(exec.shard_store.as_ref(), &run_dir.path, *part, members)?;
         if reused {
             report.shard_reuses += 1;
         } else {
             report.shard_writes += 1;
         }
         let job = (plan.job)(*part, members.len());
-        let out = work_dir.join(format!("coreset-{part:05}.kca"));
+        let out = run_dir.path.join(format!("coreset-{part:05}.kca"));
         let args = WorkerArgs {
             shard: store_relative(&shard),
             out: out.clone(),
@@ -1015,18 +1005,17 @@ fn run_distributed_round(
         };
         let mut request = vec!["coreset".to_string()];
         request.extend(args.to_args());
-        round1_jobs.push(FleetJob {
+        jobs.push(FleetJob {
             partition: *part,
             request,
-            inputs: Vec::new(),
             span: parent_span,
         });
         outs.push(out);
     }
 
     // Round 1 on the fleet.
-    let round1_results = fleet.run_jobs(&round1_jobs, deadline, exec.timeout, exec.job_retries)?;
-    for ((part, members), (worker, wall)) in partitions.iter().zip(&round1_results) {
+    let results = fleet.run_jobs(&jobs, deadline, exec.timeout)?;
+    for ((part, members), (worker, wall)) in partitions.iter().zip(&results) {
         report.workers.push(WorkerStat {
             partition: *part,
             shard_points: if worker.points > 0 {
@@ -1041,71 +1030,32 @@ fn run_distributed_round(
         report.coreset_sizes.push(worker.coreset);
     }
 
-    // Reduction tree: adjacent pairs merge on workers, the odd node
-    // carries forward, level by level, in partition-index order — the
-    // parenthesization-invariant composition that keeps the root union
-    // bit-identical to a flat concatenation.
-    let mut nodes: Vec<(usize, PathBuf)> =
-        partitions.iter().map(|(part, _)| *part).zip(outs).collect();
-    let mut level = 0usize;
-    while nodes.len() > 1 {
-        let mut merge_jobs = Vec::new();
-        let mut next: Vec<(usize, PathBuf)> = Vec::with_capacity(nodes.len().div_ceil(2));
-        let mut it = nodes.into_iter();
-        let mut i = 0usize;
-        while let Some((left_part, left_path)) = it.next() {
-            match it.next() {
-                Some((right_part, right_path)) => {
-                    let out = work_dir.join(format!("merge-{level}-{i:05}.kca"));
-                    let args = MergeArgs {
-                        left: left_path.clone(),
-                        right: right_path.clone(),
-                        out: out.clone(),
-                        span: parent_span,
-                    };
-                    let mut request = vec!["merge".to_string()];
-                    request.extend(args.to_args());
-                    merge_jobs.push(FleetJob {
-                        partition: left_part,
-                        request,
-                        inputs: vec![
-                            (left_path.to_string_lossy().into_owned(), left_part),
-                            (right_path.to_string_lossy().into_owned(), right_part),
-                        ],
-                        span: parent_span,
-                    });
-                    next.push((left_part, out));
-                    i += 1;
-                }
-                None => next.push((left_part, left_path)), // odd node carries
-            }
-        }
-        report.merge_jobs += merge_jobs.len();
-        fleet.run_jobs(&merge_jobs, deadline, exec.timeout, exec.job_retries)?;
-        nodes = next;
-        level += 1;
+    // Collect: read each partition's artifact in partition order. A torn
+    // or missing artifact is charged to the partition that wrote it.
+    let mut coresets = Vec::with_capacity(outs.len());
+    for ((part, _), out) in partitions.iter().zip(&outs) {
+        let (points, weights) =
+            read_coreset_artifact(out).map_err(|err| ExecError::BadArtifact {
+                partition: *part,
+                path: out.clone(),
+                reason: err.to_string(),
+            })?;
+        coresets.push(
+            points
+                .into_iter()
+                .zip(weights)
+                .map(|(point, weight)| WeightedPoint { point, weight })
+                .collect(),
+        );
     }
-
-    // Only the root crosses back into the coordinator.
-    let (root_part, root_path) = nodes
-        .pop()
-        .expect("at least one non-empty partition (validated)");
-    let (union_points, union_weights) =
-        read_coreset_artifact(&root_path).map_err(|err| ExecError::BadArtifact {
-            partition: root_part,
-            path: root_path.clone(),
-            reason: err.to_string(),
-        })?;
-    drop(guard);
+    drop(run_dir);
     report.workers_spawned = fleet.spawned_total - spawned_before;
     report.worker_respawns = fleet.respawned_total - respawned_before;
     report.reconnects = fleet.reconnects_total() - reconnects_before;
     // The same accounting that lands in `ExecReport` accumulates into the
     // process-wide registry, under the executor's counter family.
     let obs = kcenter_obs::registry();
-    obs.counter("exec.jobs.coreset")
-        .add(round1_jobs.len() as u64);
-    obs.counter("exec.jobs.merge").add(report.merge_jobs as u64);
+    obs.counter("exec.jobs.coreset").add(jobs.len() as u64);
     obs.counter("exec.shards.written")
         .add(report.shard_writes as u64);
     obs.counter("exec.shards.reused")
@@ -1115,11 +1065,7 @@ fn run_distributed_round(
     obs.counter("exec.workers.respawned")
         .add(report.worker_respawns as u64);
     obs.counter("exec.reconnects").add(report.reconnects as u64);
-    Ok(union_points
-        .into_iter()
-        .zip(union_weights)
-        .map(|(point, weight)| WeightedPoint { point, weight })
-        .collect())
+    Ok(WeightedCoreset::compose(coresets))
 }
 
 #[cfg(test)]

@@ -13,8 +13,10 @@
 //!   into per-worker files, maintains a persistent
 //!   [`coordinator::WorkerFleet`] of framed workers, supervises them
 //!   (crash, disconnect, timeout, torn-artifact handling with bounded
-//!   replay), and runs the algorithm's own round 2 on the collected
-//!   union — the executor holds no algorithm code;
+//!   replay), reads every partition's coreset artifact back itself, and
+//!   runs the algorithm's own round 2 on their union — one `coreset` job
+//!   per partition and no other job, and no algorithm code in the
+//!   executor;
 //! * a **worker** ([`worker`]) that mmap-loads its shard, runs the shared
 //!   round-1 kernel with its own rayon pool, and atomically writes a
 //!   weighted coreset back through the store codec;

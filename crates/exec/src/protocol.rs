@@ -4,8 +4,8 @@
 //! length-delimited request/response framing over stdin/stdout
 //! (`--serve`) or over a TCP connection (`--listen`). Each
 //! frame is a list of strings; a job's request frame is its verb followed
-//! by a flag list ([`crate::worker::WorkerArgs`],
-//! [`crate::worker::MergeArgs`]). All values round-trip exactly: integers
+//! by a flag list ([`crate::worker::WorkerArgs`]). All values round-trip
+//! exactly: integers
 //! as decimal, `f64`s through Rust's shortest-round-trip formatting
 //! (guaranteed bit-exact on re-parse), metrics by their stable cache
 //! name — so a worker reconstructs precisely the sub-problem the
@@ -30,18 +30,13 @@
 //!   [`hello_request`] and `docs/PROTOCOL.md` §Handshake.
 //! * `["coreset", …flags]` — run one round-1 coreset build (flags are
 //!   [`crate::worker::WorkerArgs::to_args`]).
-//! * `["merge", --left L, --right R, --out O]` — compose two coreset
-//!   artifacts (left-then-right, order-preserving) into one.
 //! * `["shutdown"]` — end this connection cleanly (`["shutdown",
 //!   "process"]` additionally exits a socket-serving worker process).
 //!
 //! Replies: `["ok", k=v…]` with [`WorkerReport`]-shaped fields,
 //! `["ok", "hello", k=v…]` for an accepted handshake,
 //! `["err-hello", reason]` for a rejected handshake (the worker then
-//! closes the connection),
-//! `["err-artifact", path, reason]` when a job's *input* artifact failed
-//! to decode (the coordinator attributes it to the producing partition),
-//! and `["err", message]` for anything else.
+//! closes the connection), and `["err", message]` for anything else.
 //!
 //! The normative wire contract — including the handshake's rejection
 //! rules and the float-formatting guarantees — lives in
@@ -50,11 +45,11 @@
 use std::io::{Read, Write};
 
 use kcenter_core::coreset::CoresetSpec;
-use kcenter_metric::{Chebyshev, CosineAngular, Euclidean, Manhattan, Metric, Point};
 
 /// The metrics the executor can name across a process boundary.
 ///
-/// The in-process engines are generic over any [`Metric`]; a worker
+/// The in-process engines are generic over any
+/// [`Metric`](kcenter_metric::Metric); a worker
 /// process, however, must *reconstruct* its metric from a name, so the
 /// executor supports exactly the workspace's named point metrics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,25 +87,12 @@ impl MetricKind {
     pub fn parse(s: &str) -> Option<MetricKind> {
         Self::ALL.into_iter().find(|k| k.name() == s)
     }
-
-    /// Runs `f` with the named metric as a trait object — convenient for
-    /// one-off evaluations. Hot paths (the worker's round-1 build, the
-    /// coordinator's round 2) instead dispatch through
-    /// [`crate::with_metric!`] so the kernels stay monomorphized.
-    pub fn with<R>(self, f: impl FnOnce(&dyn Metric<Point>) -> R) -> R {
-        match self {
-            MetricKind::Euclidean => f(&Euclidean),
-            MetricKind::Manhattan => f(&Manhattan),
-            MetricKind::Chebyshev => f(&Chebyshev),
-            MetricKind::CosineAngular => f(&CosineAngular),
-        }
-    }
 }
 
 /// Expands to a `match` over a [`MetricKind`] that binds the **concrete**
-/// metric value to `$m` in `$body` — the zero-cost counterpart of
-/// [`MetricKind::with`] for distance-kernel call sites, where a vtable
-/// call per pair would be measurable.
+/// metric value to `$m` in `$body`, so the distance kernels stay
+/// monomorphized: a `dyn Metric` vtable call per pair would be
+/// measurable.
 #[macro_export]
 macro_rules! with_metric {
     ($kind:expr, $m:ident => $body:expr) => {
@@ -253,10 +235,12 @@ pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Option<Vec<String>>> {
 /// change to the frame layout, the verb set, or a verb's semantics —
 /// including a `kcenter_store::CODEC_VERSION` bump, which changes what a
 /// `coreset` job reads; a worker speaking a different version rejects the
-/// handshake rather than risking an undefined merge.
+/// handshake rather than risking an undefined result.
 ///
-/// Version 2: codec v2 shards, and no `probe` verb.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// Version 2: codec v2 shards, and no `probe` verb. Version 3: no `merge`
+/// verb, and no reply that blames another partition's artifact: the
+/// coordinator reads every coreset artifact itself.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Pulls `key=value` out of a hello frame's fields.
 fn hello_field<'a>(parts: &'a [String], key: &str) -> Option<&'a str> {
@@ -265,7 +249,7 @@ fn hello_field<'a>(parts: &'a [String], key: &str) -> Option<&'a str> {
 }
 
 /// The handshake frame a coordinator opens every persistent connection
-/// with: `["hello", "proto=2", "version=<crate>", "config=<fp|any>"]`.
+/// with: `["hello", "proto=3", "version=<crate>", "config=<fp|any>"]`.
 ///
 /// `config` is the coordinator's 128-bit configuration fingerprint as 32
 /// lowercase hex digits, or the literal `any` when it does not pin one —
@@ -507,12 +491,6 @@ mod tests {
             assert_eq!(MetricKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(MetricKind::parse("hamming"), None);
-        // `with` hands back the matching concrete metric.
-        let a = Point::new(vec![0.0, 0.0]);
-        let b = Point::new(vec![3.0, 4.0]);
-        assert_eq!(MetricKind::Euclidean.with(|m| m.distance(&a, &b)), 5.0);
-        assert_eq!(MetricKind::Manhattan.with(|m| m.distance(&a, &b)), 7.0);
-        assert_eq!(MetricKind::Chebyshev.with(|m| m.distance(&a, &b)), 4.0);
     }
 
     #[test]
@@ -545,7 +523,7 @@ mod tests {
         let cases: Vec<Vec<String>> = vec![
             vec![],
             vec!["shutdown".into()],
-            vec!["merge".into(), "--left".into(), "@store/a.kca".into()],
+            vec!["coreset".into(), "--shard".into(), "@store/a.kca".into()],
             vec!["coreset".into(), String::new(), "πδ≠ascii".into()],
             vec!["x".repeat(10_000)],
         ];
@@ -614,8 +592,10 @@ mod tests {
         let err = check_hello_request(&hello_request(None), Some(0x5678)).unwrap_err();
         assert!(err.contains("announced none"), "{err:?}");
         // Protocol version mismatch, both directions. A proto=1 peer is a
-        // build from before codec v2: its shards would fail to decode.
-        for old in ["proto=0", "proto=1"] {
+        // build from before codec v2: its shards would fail to decode. A
+        // proto=2 peer still sends `merge` jobs and their artifact-error
+        // reply.
+        for old in ["proto=0", "proto=1", "proto=2"] {
             let request = vec!["hello".to_string(), old.to_string()];
             assert!(check_hello_request(&request, None)
                 .unwrap_err()
@@ -640,7 +620,7 @@ mod tests {
     fn protocol_version_moves_with_the_codec_version() {
         assert_eq!(
             (PROTOCOL_VERSION, kcenter_store::CODEC_VERSION),
-            (2, 2),
+            (3, 2),
             "a CODEC_VERSION bump changes what a coreset job reads, so it must \
              bump PROTOCOL_VERSION too (and update both numbers here)"
         );

@@ -64,14 +64,6 @@ pub fn write_shard<P: Borrow<Point>>(path: &Path, points: &[P]) -> io::Result<()
     write_artifact_atomic(path, &codec::encode_shard(points))
 }
 
-/// Loads a shard file as owned [`Point`]s (one allocation per point).
-///
-/// Thin compatibility wrapper over [`read_shard_set`]; prefer the set for
-/// anything that feeds the distance kernels.
-pub fn read_shard(path: &Path) -> Result<Vec<Point>, ShardError> {
-    read_shard_set(path).map(|set| set.to_points())
-}
-
 /// Loads a shard file as a [`PointSet`], memory-mapping it when the
 /// platform allows.
 ///
@@ -145,7 +137,7 @@ mod tests {
             .collect();
         let path = tmp("roundtrip.kca");
         write_shard(&path, &points).unwrap();
-        let back = read_shard(&path).unwrap();
+        let back = read_shard_set(&path).unwrap().to_points();
         assert_eq!(back.len(), points.len());
         for (a, b) in back.iter().zip(&points) {
             for (ca, cb) in a.coords().iter().zip(b.coords()) {
@@ -158,7 +150,7 @@ mod tests {
     fn empty_shard_round_trips() {
         let path = tmp("empty.kca");
         write_shard::<Point>(&path, &[]).unwrap();
-        assert_eq!(read_shard(&path).unwrap(), Vec::<Point>::new());
+        assert!(read_shard_set(&path).unwrap().is_empty());
     }
 
     #[test]
@@ -207,10 +199,6 @@ mod tests {
             read_shard_set(&path),
             Err(ShardError::Decode(DecodeError::Malformed))
         ));
-        assert!(matches!(
-            read_shard(&path),
-            Err(ShardError::Decode(DecodeError::Malformed))
-        ));
     }
 
     #[test]
@@ -241,7 +229,7 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         assert!(matches!(
-            read_shard(&path),
+            read_shard_set(&path),
             Err(ShardError::Decode(DecodeError::Truncated))
         ));
     }
@@ -249,7 +237,7 @@ mod tests {
     #[test]
     fn missing_shard_is_an_io_error() {
         assert!(matches!(
-            read_shard(Path::new("/nonexistent/shard.kca")),
+            read_shard_set(Path::new("/nonexistent/shard.kca")),
             Err(ShardError::Io(_))
         ));
     }

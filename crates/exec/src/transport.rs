@@ -153,9 +153,6 @@ pub trait Transport: Send {
     fn is_remote(&self) -> bool {
         false
     }
-
-    /// Short backend name for accounting lines (`pipe` / `tcp`).
-    fn name(&self) -> &'static str;
 }
 
 /// Which transport backend an execution should use — the serializable
@@ -288,10 +285,6 @@ impl Transport for PipeTransport {
                 stderr: Some(stderr_handle),
             }),
         })
-    }
-
-    fn name(&self) -> &'static str {
-        "pipe"
     }
 }
 
@@ -479,10 +472,6 @@ impl Transport for TcpDialTransport {
 
     fn is_remote(&self) -> bool {
         true
-    }
-
-    fn name(&self) -> &'static str {
-        "tcp"
     }
 }
 

@@ -59,7 +59,7 @@ use crate::protocol::{
     check_hello_request, hello_ack, parse_spec, read_frame, write_frame, MetricKind, WorkerReport,
     WorkerTelemetry,
 };
-use crate::shard::{read_coreset_artifact, read_shard_set, write_artifact_atomic};
+use crate::shard::{read_shard_set, write_artifact_atomic};
 use crate::with_metric;
 
 /// Environment variable enabling deliberate worker misbehaviour in tests.
@@ -246,121 +246,6 @@ fn build_round1_coreset<'a, M: Metric<PointRef<'a>>>(
     (coreset_points, weights)
 }
 
-/// A parsed merge invocation: compose two coreset artifacts into one.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MergeArgs {
-    /// Left input artifact (earlier partitions).
-    pub left: PathBuf,
-    /// Right input artifact (later partitions).
-    pub right: PathBuf,
-    /// Output artifact path.
-    pub out: PathBuf,
-    /// Coordinator span context (`--span`), echoed back as `span=` on
-    /// the reply — see [`WorkerArgs::span`].
-    pub span: Option<u64>,
-}
-
-impl MergeArgs {
-    /// The flag list a coordinator puts in a `merge` request frame.
-    pub fn to_args(&self) -> Vec<String> {
-        let mut args = vec![
-            "--left".into(),
-            self.left.to_string_lossy().into_owned(),
-            "--right".into(),
-            self.right.to_string_lossy().into_owned(),
-            "--out".into(),
-            self.out.to_string_lossy().into_owned(),
-        ];
-        if let Some(span) = self.span {
-            args.push("--span".into());
-            args.push(span.to_string());
-        }
-        args
-    }
-
-    /// Parses the flag list (the reverse of [`MergeArgs::to_args`]).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<MergeArgs, String> {
-        let mut left = None;
-        let mut right = None;
-        let mut out = None;
-        let mut span = None;
-        let mut iter = args.into_iter();
-        while let Some(flag) = iter.next() {
-            let mut value = || {
-                iter.next()
-                    .ok_or_else(|| format!("{flag} requires a value"))
-            };
-            match flag.as_str() {
-                "--left" => left = Some(PathBuf::from(value()?)),
-                "--right" => right = Some(PathBuf::from(value()?)),
-                "--out" => out = Some(PathBuf::from(value()?)),
-                "--span" => {
-                    let v = value()?;
-                    span = Some(v.parse().map_err(|_| format!("bad --span {v:?}"))?)
-                }
-                other => return Err(format!("unknown merge flag {other:?}")),
-            }
-        }
-        Ok(MergeArgs {
-            left: left.ok_or("merge requires --left")?,
-            right: right.ok_or("merge requires --right")?,
-            out: out.ok_or("merge requires --out")?,
-            span,
-        })
-    }
-}
-
-/// Why a serve-mode job failed, shaped for the reply frame.
-enum JobFailure {
-    /// An *input* artifact did not decode — the coordinator attributes
-    /// this to the partition that produced it, exactly like a bad
-    /// artifact it read itself.
-    BadArtifact { path: PathBuf, reason: String },
-    /// Anything else (bad flags, unwritable output, …).
-    Other(String),
-}
-
-impl JobFailure {
-    fn to_reply(&self) -> Vec<String> {
-        match self {
-            JobFailure::BadArtifact { path, reason } => vec![
-                "err-artifact".into(),
-                path.to_string_lossy().into_owned(),
-                reason.clone(),
-            ],
-            JobFailure::Other(msg) => vec!["err".into(), msg.clone()],
-        }
-    }
-}
-
-/// Runs one merge job: reads both weighted-coreset artifacts, composes
-/// them left-then-right (order-preserving concatenation — the composition
-/// law that makes the reduction tree bit-identical to a flat round 2),
-/// and atomically writes the union artifact.
-fn run_merge(args: &MergeArgs) -> Result<WorkerReport, JobFailure> {
-    let started = Instant::now();
-    let read = |path: &PathBuf| {
-        read_coreset_artifact(path).map_err(|err| JobFailure::BadArtifact {
-            path: path.clone(),
-            reason: err.to_string(),
-        })
-    };
-    let (mut points, mut weights) = read(&args.left)?;
-    let (right_points, right_weights) = read(&args.right)?;
-    let inputs = points.len() + right_points.len();
-    points.extend(right_points);
-    weights.extend(right_weights);
-    let bytes = codec::encode_coreset(&points, &weights);
-    write_artifact_atomic(&args.out, &bytes).map_err(|e| {
-        JobFailure::Other(format!("cannot write artifact {}: {e}", args.out.display()))
-    })?;
-    Ok(WorkerReport {
-        points: inputs,
-        coreset: points.len(),
-        build_micros: started.elapsed().as_micros() as u64,
-    })
-}
-
 /// Options of a persistent serving loop (pipe or socket).
 #[derive(Default)]
 struct ServeOptions {
@@ -457,7 +342,7 @@ fn serve_streams<R: Read, W: Write>(
                 }
                 return ServeOutcome::CloseConnection;
             }
-            "coreset" | "merge" => {
+            "coreset" => {
                 jobs_served += 1;
                 if crash_on_job == Some(jobs_served) {
                     eprintln!(
@@ -471,41 +356,22 @@ fn serve_streams<R: Read, W: Write>(
                     );
                     return ServeOutcome::DropConnection;
                 }
-                let flags = parts[1..].to_vec();
                 // Successful replies piggyback telemetry: the `--span`
                 // context echoed back plus the deltas of this process's
                 // registry counters across the job (`m.<name>=<delta>`),
                 // which the coordinator folds into its own registry.
                 let counters_before = kcenter_obs::counter_values();
-                if verb == "coreset" {
-                    match parse_coreset_job(flags, opts) {
-                        Ok(args) => match run_worker(&args) {
-                            Ok(report) => {
-                                report.to_reply_with(&WorkerTelemetry::from_counter_snapshots(
-                                    args.span,
-                                    &counters_before,
-                                    &kcenter_obs::counter_values(),
-                                ))
-                            }
-                            Err(msg) => JobFailure::Other(msg).to_reply(),
-                        },
-                        Err(failure) => failure.to_reply(),
-                    }
-                } else {
-                    match parse_merge_job(flags, opts) {
-                        Ok(args) => match run_merge(&args) {
-                            Ok(report) => {
-                                report.to_reply_with(&WorkerTelemetry::from_counter_snapshots(
-                                    args.span,
-                                    &counters_before,
-                                    &kcenter_obs::counter_values(),
-                                ))
-                            }
-                            Err(failure) => failure.to_reply(),
-                        },
-                        Err(failure) => failure.to_reply(),
-                    }
-                }
+                let reply = parse_coreset_job(parts[1..].to_vec(), opts).and_then(|args| {
+                    let report = run_worker(&args)?;
+                    Ok(
+                        report.to_reply_with(&WorkerTelemetry::from_counter_snapshots(
+                            args.span,
+                            &counters_before,
+                            &kcenter_obs::counter_values(),
+                        )),
+                    )
+                });
+                reply.unwrap_or_else(|msg| vec!["err".into(), msg])
             }
             other => vec!["err".into(), format!("unknown request verb {other:?}")],
         };
@@ -517,19 +383,10 @@ fn serve_streams<R: Read, W: Write>(
 }
 
 /// Parses a `coreset` job's flags and resolves its `@store/` references.
-fn parse_coreset_job(flags: Vec<String>, opts: &ServeOptions) -> Result<WorkerArgs, JobFailure> {
-    let mut args = WorkerArgs::parse(flags).map_err(JobFailure::Other)?;
-    args.shard = resolve_job_path(&args.shard, opts.store.as_ref()).map_err(JobFailure::Other)?;
-    args.out = resolve_job_path(&args.out, opts.store.as_ref()).map_err(JobFailure::Other)?;
-    Ok(args)
-}
-
-/// Parses a `merge` job's flags and resolves its `@store/` references.
-fn parse_merge_job(flags: Vec<String>, opts: &ServeOptions) -> Result<MergeArgs, JobFailure> {
-    let mut args = MergeArgs::parse(flags).map_err(JobFailure::Other)?;
-    args.left = resolve_job_path(&args.left, opts.store.as_ref()).map_err(JobFailure::Other)?;
-    args.right = resolve_job_path(&args.right, opts.store.as_ref()).map_err(JobFailure::Other)?;
-    args.out = resolve_job_path(&args.out, opts.store.as_ref()).map_err(JobFailure::Other)?;
+fn parse_coreset_job(flags: Vec<String>, opts: &ServeOptions) -> Result<WorkerArgs, String> {
+    let mut args = WorkerArgs::parse(flags)?;
+    args.shard = resolve_job_path(&args.shard, opts.store.as_ref())?;
+    args.out = resolve_job_path(&args.out, opts.store.as_ref())?;
     Ok(args)
 }
 
@@ -716,6 +573,7 @@ pub fn worker_main<I: IntoIterator<Item = String>>(args: I) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{hello_request, parse_hello_ack};
     use kcenter_metric::Euclidean;
 
     fn tmp(name: &str) -> PathBuf {
@@ -808,73 +666,54 @@ mod tests {
     }
 
     #[test]
-    fn merge_args_round_trip_and_reject_malformed_input() {
-        let args = MergeArgs {
-            left: PathBuf::from("/tmp/a.kca"),
-            right: PathBuf::from("/tmp/b.kca"),
-            out: PathBuf::from("/tmp/c.kca"),
-            span: Some(7),
+    fn merge_is_an_unknown_verb_and_the_connection_stays_usable() {
+        let points: Vec<Point> = (0..40)
+            .map(|i| Point::new(vec![i as f64, (i % 3) as f64]))
+            .collect();
+        let shard = tmp("verb-shard.kca");
+        crate::shard::write_shard(&shard, &points).unwrap();
+        let coreset = WorkerArgs {
+            shard,
+            out: tmp("verb-out.kca"),
+            metric: MetricKind::Euclidean,
+            base: 2,
+            spec: CoresetSpec::Multiplier { mu: 1 },
+            start: 0,
+            span: None,
         };
-        assert_eq!(MergeArgs::parse(args.to_args()).unwrap(), args);
-        for missing in ["--left", "--right", "--out"] {
-            let mut flags = args.to_args();
-            let at = flags.iter().position(|f| f == missing).unwrap();
-            flags.drain(at..at + 2);
-            assert!(MergeArgs::parse(flags).is_err(), "{missing} not required");
+        let merge = [
+            "merge", "--left", "a.kca", "--right", "b.kca", "--out", "c.kca",
+        ];
+        let mut input = Vec::new();
+        for frame in [
+            hello_request(None),
+            merge.iter().map(|p| p.to_string()).collect(),
+            std::iter::once("coreset".to_string())
+                .chain(coreset.to_args())
+                .collect(),
+        ] {
+            write_frame(&mut input, &frame).unwrap();
         }
-        let mut flags = args.to_args();
-        flags.push("--bogus".into());
-        assert!(MergeArgs::parse(flags).is_err());
-    }
-
-    #[test]
-    fn run_merge_concatenates_left_then_right_bitwise() {
-        let left_points = vec![Point::new(vec![1.5, -0.0]), Point::new(vec![1e-300, 2.0])];
-        let right_points = vec![Point::new(vec![-7.25, 0.1])];
-        let left = tmp("merge-left.kca");
-        let right = tmp("merge-right.kca");
-        let out = tmp("merge-out.kca");
-        write_artifact_atomic(&left, &codec::encode_coreset(&left_points, &[3, 4])).unwrap();
-        write_artifact_atomic(&right, &codec::encode_coreset(&right_points, &[9])).unwrap();
-        let report = run_merge(&MergeArgs {
-            left,
-            right,
-            out: out.clone(),
-            span: None,
-        })
-        .map_err(|f| f.to_reply().join(" "))
-        .unwrap();
-        assert_eq!(report.points, 3);
-        assert_eq!(report.coreset, 3);
-        let (points, weights) = crate::shard::read_coreset_artifact(&out).unwrap();
-        assert_eq!(weights, vec![3, 4, 9]);
-        let expected: Vec<&Point> = left_points.iter().chain(&right_points).collect();
-        for (a, b) in points.iter().zip(expected) {
-            for (ca, cb) in a.coords().iter().zip(b.coords()) {
-                assert_eq!(ca.to_bits(), cb.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn run_merge_attributes_bad_input_artifacts() {
-        let good = tmp("merge-good.kca");
-        let torn = tmp("merge-torn.kca");
-        let out = tmp("merge-err-out.kca");
-        let bytes = codec::encode_coreset(&[Point::new(vec![1.0])], &[1]);
-        write_artifact_atomic(&good, &bytes).unwrap();
-        std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
-        let failure = run_merge(&MergeArgs {
-            left: good,
-            right: torn.clone(),
-            out,
-            span: None,
-        })
-        .expect_err("torn input must fail");
-        match failure {
-            JobFailure::BadArtifact { path, .. } => assert_eq!(path, torn),
-            JobFailure::Other(msg) => panic!("expected artifact attribution, got {msg:?}"),
-        }
+        let mut output = Vec::new();
+        let outcome = serve_streams(&mut input.as_slice(), &mut output, &ServeOptions::default());
+        assert!(matches!(outcome, ServeOutcome::CloseConnection));
+        let mut replies = output.as_slice();
+        let mut next = || {
+            read_frame(&mut replies)
+                .unwrap()
+                .expect("one reply per request")
+        };
+        assert!(parse_hello_ack(&next()).is_ok());
+        assert_eq!(
+            next(),
+            vec![
+                "err".to_string(),
+                "unknown request verb \"merge\"".to_string()
+            ]
+        );
+        let report = WorkerReport::from_reply(&next()).expect("the coreset job still succeeds");
+        assert_eq!((report.points, report.coreset), (40, 2));
+        assert_eq!(read_frame(&mut replies).unwrap(), None);
     }
 
     #[test]

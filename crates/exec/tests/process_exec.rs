@@ -196,13 +196,24 @@ fn truncated_worker_artifact_is_a_clean_error() {
         coreset: CoresetSpec::Multiplier { mu: 1 },
         seed: 1,
     };
+    // Every worker tears its artifact; the coordinator reads them in
+    // partition order, so the first one it finds is partition 0's.
     match exec_mr_kcenter(
         &points,
         MetricKind::Euclidean,
         &config,
         &faulty_exec("truncate"),
     ) {
-        Err(ExecError::BadArtifact { reason, .. }) => {
+        Err(ExecError::BadArtifact {
+            partition,
+            path,
+            reason,
+        }) => {
+            assert_eq!(partition, 0);
+            assert_eq!(
+                path.file_name().and_then(|name| name.to_str()),
+                Some("coreset-00000.kca")
+            );
             assert!(
                 reason.contains("truncated"),
                 "unexpected reason: {reason:?}"
@@ -253,8 +264,18 @@ fn missing_worker_binary_is_a_spawn_error() {
     ));
 }
 
+/// Names of the entries in `dir`, sorted.
+fn entries(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
 #[test]
-fn work_dir_is_removed_on_success_and_kept_on_request() {
+fn runs_remove_only_their_own_directory_inside_work_dir() {
     let points = dataset(150, 0);
     let config = MrKCenterConfig {
         k: 2,
@@ -262,31 +283,71 @@ fn work_dir_is_removed_on_success_and_kept_on_request() {
         coreset: CoresetSpec::Multiplier { mu: 1 },
         seed: 1,
     };
-    let dir = std::env::temp_dir().join(format!("kcenter-exec-keep-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("kcenter-exec-workdir-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("sentinel.txt"), "the caller's file").unwrap();
 
     let mut exec = exec_config();
     exec.work_dir = Some(dir.clone());
-    exec.keep_work_dir = true;
     exec_mr_kcenter(&points, MetricKind::Euclidean, &config, &exec).unwrap();
-    let kept: Vec<String> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+    assert_eq!(entries(&dir), ["sentinel.txt"], "success left files behind");
+
+    // A failed run cleans up after itself the same way.
+    let mut exec = faulty_exec("truncate");
+    exec.work_dir = Some(dir.clone());
+    assert!(exec_mr_kcenter(&points, MetricKind::Euclidean, &config, &exec).is_err());
+    assert_eq!(entries(&dir), ["sentinel.txt"], "failure left files behind");
+    assert_eq!(
+        std::fs::read_to_string(dir.join("sentinel.txt")).unwrap(),
+        "the caller's file"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_runs_sharing_a_work_dir_stay_bit_identical() {
+    let dir = std::env::temp_dir().join(format!("kcenter-exec-shared-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Two runs at once, same ℓ (so the same artifact names inside a run
+    // directory), different inputs (so a crossed artifact shows).
+    let runs: Vec<_> = [(3000usize, 5u64), (2500, 9)]
+        .into_iter()
+        .map(|(n, seed)| {
+            let dir = dir.clone();
+            std::thread::spawn(move || {
+                let points = dataset(n, 0);
+                let config = MrKCenterConfig {
+                    k: 5,
+                    ell: 2,
+                    coreset: CoresetSpec::Multiplier { mu: 2 },
+                    seed,
+                };
+                let reference = mr_kcenter(&points, &Euclidean, &config).unwrap();
+                let mut exec = exec_config();
+                exec.work_dir = Some(dir);
+                for round in 0..6 {
+                    let executed = exec_mr_kcenter(&points, MetricKind::Euclidean, &config, &exec)
+                        .unwrap_or_else(|e| panic!("n={n} round {round}: {e}"));
+                    assert_points_bit_identical(
+                        &executed.clustering.centers,
+                        &reference.clustering.centers,
+                        &format!("shared work_dir n={n} round {round}"),
+                    );
+                    assert_eq!(
+                        executed.clustering.radius.to_bits(),
+                        reference.clustering.radius.to_bits(),
+                        "radius bits differ at n={n} round {round}"
+                    );
+                }
+            })
+        })
         .collect();
-    assert!(
-        kept.iter().any(|name| name.starts_with("shard-")),
-        "shards not kept: {kept:?}"
-    );
-    assert!(
-        kept.iter().any(|name| name.starts_with("coreset-")),
-        "artifacts not kept: {kept:?}"
-    );
-
-    let mut exec = exec_config();
-    exec.work_dir = Some(dir.clone());
-    exec.keep_work_dir = false;
-    exec_mr_kcenter(&points, MetricKind::Euclidean, &config, &exec).unwrap();
-    assert!(!dir.exists(), "work dir must be removed by default");
+    for run in runs {
+        run.join().expect("run thread");
+    }
+    assert!(entries(&dir).is_empty(), "runs left files behind");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -332,36 +393,33 @@ fn warm_fleet_reuses_workers_and_stays_bit_identical() {
 }
 
 #[test]
-fn reduction_tree_with_odd_fanout_matches_flat_round2_bitwise() {
+fn flat_collection_sends_one_job_per_partition_and_matches_bitwise() {
     let points = dataset(600, 0);
-    // ell=5 exercises the odd-node carry at two levels: 5 → 3 → 2 → 1
-    // nodes, 4 pairwise merges in total.
-    let config = MrKCenterConfig {
-        k: 5,
-        ell: 5,
-        coreset: CoresetSpec::Multiplier { mu: 2 },
-        seed: 7,
-    };
-    let reference = mr_kcenter(&points, &Euclidean, &config).unwrap();
-    let executed =
-        exec_mr_kcenter(&points, MetricKind::Euclidean, &config, &exec_config()).unwrap();
-    assert_eq!(executed.report.merge_jobs, 4);
-    assert_points_bit_identical(
-        &executed.clustering.centers,
-        &reference.clustering.centers,
-        "reduction tree ell=5",
-    );
-    assert_eq!(
-        executed.clustering.radius.to_bits(),
-        reference.clustering.radius.to_bits()
-    );
-    assert_eq!(executed.report.union_size, reference.union_size);
-    assert_eq!(executed.report.coreset_sizes, reference.coreset_sizes);
-
-    // A single partition needs no merge at all.
-    let solo = MrKCenterConfig { ell: 1, ..config };
-    let executed = exec_mr_kcenter(&points, MetricKind::Euclidean, &solo, &exec_config()).unwrap();
-    assert_eq!(executed.report.merge_jobs, 0);
+    // ell=5 is an odd fan-out; ell=1 a single partition.
+    for ell in [5usize, 1] {
+        let config = MrKCenterConfig {
+            k: 5,
+            ell,
+            coreset: CoresetSpec::Multiplier { mu: 2 },
+            seed: 7,
+        };
+        let reference = mr_kcenter(&points, &Euclidean, &config).unwrap();
+        let executed =
+            exec_mr_kcenter(&points, MetricKind::Euclidean, &config, &exec_config()).unwrap();
+        assert_eq!(executed.report.merge_jobs, 0);
+        assert_eq!(executed.report.workers.len(), ell, "one job per partition");
+        assert_points_bit_identical(
+            &executed.clustering.centers,
+            &reference.clustering.centers,
+            &format!("flat collection ell={ell}"),
+        );
+        assert_eq!(
+            executed.clustering.radius.to_bits(),
+            reference.clustering.radius.to_bits()
+        );
+        assert_eq!(executed.report.union_size, reference.union_size);
+        assert_eq!(executed.report.coreset_sizes, reference.coreset_sizes);
+    }
 }
 
 #[test]
@@ -394,9 +452,10 @@ fn mid_stream_worker_death_is_contained_by_respawn_and_replay() {
         reference.clustering.radius.to_bits()
     );
 
-    // With the retry budget zeroed, the same fault is a clean error, not
-    // a hang.
-    exec.job_retries = 0;
+    // A worker that dies on its first job dies on every replay too: once
+    // the retry budget is spent, the fault is a clean error, not a hang.
+    let mut exec = faulty_exec("crash-job:1");
+    exec.max_workers = Some(1);
     match exec_mr_kcenter(&points, MetricKind::Euclidean, &config, &exec) {
         Err(ExecError::WorkerFailed { code, stderr, .. }) => {
             assert_eq!(code, Some(101));

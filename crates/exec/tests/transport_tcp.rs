@@ -102,18 +102,12 @@ fn pipe_config() -> ExecConfig {
     config
 }
 
-/// A config dialing out to `workers`, with a unique work dir per test so
-/// parallel tests never collide on artifact paths.
-fn tcp_config(workers: &[&TcpWorker], tag: &str) -> ExecConfig {
+/// A config dialing out to `workers`.
+fn tcp_config(workers: &[&TcpWorker]) -> ExecConfig {
     let mut config = pipe_config();
     config.transport = TransportSpec::TcpConnect {
         addrs: workers.iter().map(|w| w.addr.clone()).collect(),
     };
-    config.work_dir = Some(
-        std::env::temp_dir()
-            .join("kcenter-transport-tcp")
-            .join(format!("{tag}-{}", std::process::id())),
-    );
     config
 }
 
@@ -165,7 +159,7 @@ fn tcp_run_is_bit_identical_to_pipe_run_with_store_shards() {
         .map(|_| TcpWorker::listen(&["--store", &store_flag], &[]))
         .collect();
     let refs: Vec<&TcpWorker> = workers.iter().collect();
-    let mut exec = tcp_config(&refs, "bitwise");
+    let mut exec = tcp_config(&refs);
     exec.shard_store = Some(store);
 
     for (run, expect_reuse) in [("cold", false), ("warm", true)] {
@@ -200,7 +194,7 @@ fn mid_job_disconnect_is_contained_by_reconnect_and_replay() {
     let config = MrKCenterConfig {
         k: 4,
         // 3 partitions over 2 workers: some connection must take a
-        // second job (coreset or merge) and hit its `drop-conn:2`.
+        // second coreset job and hit its `drop-conn:2`.
         ell: 3,
         coreset: CoresetSpec::Multiplier { mu: 2 },
         seed: 7,
@@ -212,7 +206,7 @@ fn mid_job_disconnect_is_contained_by_reconnect_and_replay() {
         .map(|_| TcpWorker::listen(&[], &[(kcenter_exec::worker::FAULT_ENV, "drop-conn:2")]))
         .collect();
     let refs: Vec<&TcpWorker> = workers.iter().collect();
-    let exec = tcp_config(&refs, "dropconn");
+    let exec = tcp_config(&refs);
     let executed = exec_mr_kcenter(&points, MetricKind::Euclidean, &config, &exec)
         .expect("reconnect+replay must contain the disconnect");
     assert_points_bit_identical(
@@ -248,7 +242,7 @@ fn pinned_worker_rejects_mismatched_coordinator() {
     let refs = [&worker];
 
     // Wrong fingerprint: rejected with the worker's address attributed.
-    let mut exec = tcp_config(&refs, "pin-wrong");
+    let mut exec = tcp_config(&refs);
     exec.config_fingerprint = Some(0x1234);
     match exec_mr_kcenter(&points, MetricKind::Euclidean, &config, &exec) {
         Err(ExecError::HelloRejected {
@@ -265,7 +259,7 @@ fn pinned_worker_rejects_mismatched_coordinator() {
     }
 
     // No fingerprint announced at all: a pinned worker still refuses.
-    let mut exec = tcp_config(&refs, "pin-none");
+    let mut exec = tcp_config(&refs);
     exec.config_fingerprint = None;
     assert!(matches!(
         exec_mr_kcenter(&points, MetricKind::Euclidean, &config, &exec),
@@ -274,7 +268,7 @@ fn pinned_worker_rejects_mismatched_coordinator() {
 
     // The matching fingerprint is served; the listener survived both
     // rejected coordinators above.
-    let mut exec = tcp_config(&refs, "pin-right");
+    let mut exec = tcp_config(&refs);
     exec.config_fingerprint = Some(0xdeadbeef);
     exec_mr_kcenter(&points, MetricKind::Euclidean, &config, &exec)
         .expect("matching fingerprint must be served");
@@ -297,7 +291,7 @@ fn worker_without_store_fails_the_job_and_keeps_listening() {
         .join(format!("nostore-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
     let mut worker = TcpWorker::listen(&[], &[]);
-    let mut exec = tcp_config(&[&worker], "nostore");
+    let mut exec = tcp_config(&[&worker]);
     exec.shard_store = Some(ArtifactStore::open(&store_dir).unwrap());
     let err = exec_mr_kcenter(&points, MetricKind::Euclidean, &config, &exec)
         .expect_err("a worker without --store cannot resolve @store/ shards");
@@ -333,7 +327,7 @@ fn hung_tcp_worker_is_killed_at_the_deadline() {
         .map(|_| TcpWorker::listen(&[], &[(kcenter_exec::worker::FAULT_ENV, "hang")]))
         .collect();
     let refs: Vec<&TcpWorker> = workers.iter().collect();
-    let mut exec = tcp_config(&refs, "hang");
+    let mut exec = tcp_config(&refs);
     exec.timeout = Duration::from_millis(1500);
     let started = std::time::Instant::now();
     let result = exec_mr_kcenter(&points, MetricKind::Euclidean, &config, &exec);

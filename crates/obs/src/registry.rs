@@ -9,8 +9,8 @@ use crate::json::escape;
 
 /// Upper bounds (inclusive, in microseconds) of the histogram buckets.
 ///
-/// Powers of four from 16 µs to ~67 s: wide enough that a worker's
-/// sub-millisecond merge and a multi-second round-1 build both land in
+/// Powers of four from 16 µs to ~67 s: wide enough that a
+/// sub-millisecond span and a multi-second round-1 build both land in
 /// an interior bucket, coarse enough that a snapshot stays one line.
 pub(crate) const HISTOGRAM_BOUNDS_US: [u64; 12] = [
     16, 64, 256, 1_024, 4_096, 16_384, 65_536, 262_144, 1_048_576, 4_194_304, 16_777_216,

@@ -34,7 +34,7 @@ pub mod server;
 pub use registry::{
     IngestReport, QueryAnswer, RegistryConfig, RegistryStats, SessionRegistry, SessionStat,
 };
-pub use server::{run_server, run_server_on, ServeClient, ServeEndpoint};
+pub use server::{run_server_on, ServeClient, ServeEndpoint};
 
 /// Why a serve-layer operation failed. Every variant maps to a clean
 /// protocol-level `err` reply; none of them can corrupt session state.

@@ -423,16 +423,6 @@ pub fn run_server_on<M: Metric<Point> + Clone + Send + Sync + 'static>(
     Ok(())
 }
 
-/// Binds `socket` and serves the registry until a client sends
-/// `["shutdown"]` — the single-endpoint unix wrapper around
-/// [`run_server_on`].
-pub fn run_server<M: Metric<Point> + Clone + Send + Sync + 'static>(
-    socket: &Path,
-    registry: SessionRegistry<M>,
-) -> io::Result<()> {
-    run_server_on(&[ServeEndpoint::Unix(socket.to_path_buf())], registry)
-}
-
 /// A thin client for the serve protocol — what the CLI subcommand and the
 /// soak test drive. Transport-agnostic: [`ServeClient::connect`] speaks
 /// over a unix socket, [`ServeClient::connect_tcp`] over TCP, and every

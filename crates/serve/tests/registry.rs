@@ -8,7 +8,9 @@ use kcenter_core::radius_search::{default_matrix_threshold, solve_coreset, Searc
 use kcenter_core::{WeightedCoreset, WeightedDoublingCoreset, WeightedPoint};
 use kcenter_metric::{Euclidean, Point};
 use kcenter_serve::server::reply_field;
-use kcenter_serve::{run_server, RegistryConfig, ServeClient, ServeError, SessionRegistry};
+use kcenter_serve::{
+    run_server_on, RegistryConfig, ServeClient, ServeEndpoint, ServeError, SessionRegistry,
+};
 use kcenter_store::ArtifactStore;
 use kcenter_stream::StreamingAlgorithm;
 
@@ -269,7 +271,7 @@ fn unix_socket_server_round_trips() {
     let registry = SessionRegistry::new(Euclidean, config(8, Some(20)), Some(store)).unwrap();
     let server = {
         let socket = socket.clone();
-        std::thread::spawn(move || run_server(&socket, registry))
+        std::thread::spawn(move || run_server_on(&[ServeEndpoint::Unix(socket)], registry))
     };
     // Wait for the socket to appear.
     let mut client = loop {

@@ -3,6 +3,7 @@
 //! stream against the normative `kcenter-trace/v1` schema
 //! (docs/PROTOCOL.md §8) — every record parses, spans nest under their
 //! parents, and the merged worker spans carry per-partition attribution.
+//! The committed sample in `docs/examples` is held to the same shape.
 //!
 //! The same run is also the trace half of the determinism contract: the
 //! traced run's results (radius line, centers bytes) must be identical
@@ -162,85 +163,117 @@ fn procs4_trace_is_schema_valid_and_result_invariant() {
         "tracing changed the centers bytes"
     );
 
-    // Schema: the first record is the meta line announcing the version…
     let text = std::fs::read_to_string(&trace).expect("trace file written");
+    assert_procs4_trace_shape(&text, "live --procs 4 trace");
+}
+
+/// The committed sample in `docs/examples` has the live run's shape, so a
+/// sample left stale by a change to the trace fails here.
+#[test]
+fn committed_procs4_sample_has_the_live_shape() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/docs/examples/trace_procs4_sample.jsonl"
+    );
+    let text = std::fs::read_to_string(path).expect("committed trace sample");
+    assert_procs4_trace_shape(&text, "docs/examples/trace_procs4_sample.jsonl");
+}
+
+/// The shape of a `--procs 4` fleet trace, live or committed: the meta
+/// record announcing the schema, then span and event records only; the
+/// round spans nested under the CLI root span with one `exec.objective`
+/// span inside round 2; exactly one worker-attributed
+/// `exec.worker.coreset` span per partition, parented to round 1 and no
+/// `exec.worker.merge` span; and every parent link resolving within the
+/// file.
+fn assert_procs4_trace_shape(text: &str, what: &str) {
+    // Schema: the first record is the meta line announcing the version…
     let meta = parse(text.lines().next().expect("meta record")).expect("meta parses");
-    assert_eq!(meta.get("type").and_then(Json::as_str), Some("meta"));
+    assert_eq!(
+        meta.get("type").and_then(Json::as_str),
+        Some("meta"),
+        "{what}"
+    );
     assert_eq!(
         meta.get("schema").and_then(Json::as_str),
-        Some(kcenter_obs::TRACE_SCHEMA)
+        Some(kcenter_obs::TRACE_SCHEMA),
+        "{what}"
     );
-    assert!(meta.get("pid").and_then(Json::as_u64).is_some());
+    assert!(meta.get("pid").and_then(Json::as_u64).is_some(), "{what}");
 
     // …and every following line parses into a span/event record.
     for line in text.lines().skip(1) {
-        let rec = parse(line).unwrap_or_else(|e| panic!("bad trace line {line:?}: {e}"));
+        let rec = parse(line).unwrap_or_else(|e| panic!("{what}: bad trace line {line:?}: {e}"));
         let ty = rec.get("type").and_then(Json::as_str);
         assert!(
             ty == Some("span") || ty == Some("event"),
-            "unknown record type in {line:?}"
+            "{what}: unknown record type in {line:?}"
         );
     }
 
-    let spans = spans_of(&text);
+    let spans = spans_of(text);
     let by_id: HashMap<u64, &SpanRec> = spans.iter().map(|s| (s.id, s)).collect();
     let find = |name: &str| -> &SpanRec {
         spans
             .iter()
             .find(|s| s.name == name)
-            .unwrap_or_else(|| panic!("no {name} span in trace"))
+            .unwrap_or_else(|| panic!("{what}: no {name} span in trace"))
     };
+    let named = |name: &str| -> Vec<&SpanRec> { spans.iter().filter(|s| s.name == name).collect() };
 
     // The run timeline: round spans nest under the CLI root span.
     let root = find("cli.cluster");
     let round1 = find("exec.round1");
     let round2 = find("exec.round2");
-    assert_eq!(root.parent, None, "cli.cluster must be the root span");
-    assert_eq!(round1.parent, Some(root.id));
-    assert_eq!(round2.parent, Some(root.id));
+    assert_eq!(
+        root.parent, None,
+        "{what}: cli.cluster must be the root span"
+    );
+    assert_eq!(round1.parent, Some(root.id), "{what}");
+    assert_eq!(round2.parent, Some(root.id), "{what}");
     // The objective over the full input is timed on its own, inside
     // round 2.
-    let objective: Vec<&SpanRec> = spans
-        .iter()
-        .filter(|s| s.name == "exec.objective")
-        .collect();
-    assert_eq!(objective.len(), 1, "one exec.objective span");
-    assert_eq!(objective[0].parent, Some(round2.id));
+    let objective = named("exec.objective");
+    assert_eq!(objective.len(), 1, "{what}: one exec.objective span");
+    assert_eq!(objective[0].parent, Some(round2.id), "{what}");
 
-    // Merged worker spans: one coreset job per partition, attributed to
-    // its worker and parented to round 1, started within it.
-    let coreset: Vec<&SpanRec> = spans
-        .iter()
-        .filter(|s| s.name == "exec.worker.coreset")
-        .collect();
-    assert_eq!(coreset.len(), 4, "one coreset span per partition");
+    // Merged worker spans: exactly one coreset job per partition,
+    // attributed to its worker and parented to round 1, started within
+    // it — and no other job: the coordinator collects the coresets
+    // itself, with no merge jobs.
+    let coreset = named("exec.worker.coreset");
+    assert_eq!(coreset.len(), 4, "{what}: one coreset span per partition");
     let mut workers: Vec<u64> = coreset
         .iter()
         .map(|s| s.worker.expect("worker id"))
         .collect();
     workers.sort_unstable();
-    assert_eq!(workers, vec![0, 1, 2, 3], "partition attribution");
+    assert_eq!(workers, vec![0, 1, 2, 3], "{what}: partition attribution");
     for span in &coreset {
-        assert_eq!(span.parent, Some(round1.id), "coreset parents to round 1");
-        assert!(span.start_us >= round1.start_us, "child starts in parent");
+        assert_eq!(
+            span.parent,
+            Some(round1.id),
+            "{what}: coreset parents to round 1"
+        );
+        assert!(
+            span.start_us >= round1.start_us,
+            "{what}: child starts in parent"
+        );
     }
-    // The reduction tree ran on the workers too (ell - 1 merges),
-    // parented to the same round.
-    let merges = spans
-        .iter()
-        .filter(|s| s.name == "exec.worker.merge")
-        .count();
-    assert_eq!(merges, 3, "ell - 1 merge jobs for ell = 4");
+    assert!(
+        named("exec.worker.merge").is_empty(),
+        "{what}: round 1 runs no merge jobs"
+    );
 
     // Every parent link resolves within the file.
     for span in &spans {
         if let Some(parent) = span.parent {
             let parent = by_id
                 .get(&parent)
-                .unwrap_or_else(|| panic!("{} has dangling parent {parent}", span.name));
+                .unwrap_or_else(|| panic!("{what}: {} has dangling parent {parent}", span.name));
             assert!(
                 span.start_us >= parent.start_us,
-                "{} starts before its parent {}",
+                "{what}: {} starts before its parent {}",
                 span.name,
                 parent.name
             );
@@ -327,6 +360,16 @@ fn report_json_carries_the_metrics_snapshot() {
         .and_then(Json::as_u64)
         .expect("counter value");
     assert_eq!(jobs, 2, "one coreset job per partition at --procs 2");
+    // Round 1 runs no merge jobs: no job counter and no worker span
+    // histogram for them.
+    for absent in ["exec.jobs.merge", "exec.worker.merge.micros"] {
+        assert!(
+            entries
+                .iter()
+                .all(|m| m.get("name").and_then(Json::as_str) != Some(absent)),
+            "{absent} in the report"
+        );
+    }
     // Round-1 GMM telemetry crosses the process boundary: one step per
     // coreset point, and pruning evaluates fewer than the n·τ point
     // distances a full scan per step would.
